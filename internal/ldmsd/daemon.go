@@ -114,6 +114,10 @@ type Daemon struct {
 	// runs. An atomic pointer keeps the store-path tap to one load.
 	window atomic.Pointer[query.Window]
 
+	// mirrors counts live mirrors per re-export name (see mirrorGone).
+	mirrorMu sync.Mutex
+	mirrors  map[string]int
+
 	// strgpList is the lock-free snapshot of storage policies the pull
 	// path fans fresh samples out to; rebuilt when a policy is added.
 	strgpList atomic.Pointer[[]*StoragePolicy]
@@ -148,6 +152,7 @@ func New(opts Options) (*Daemon, error) {
 		prdcrs:     make(map[string]*Producer),
 		updtrs:     make(map[string]*Updater),
 		strgps:     make(map[string]*StoragePolicy),
+		mirrors:    make(map[string]int),
 	}
 	d.srv = transport.NewServer(d.reg)
 	d.trace = newTracePlane(d)

@@ -362,7 +362,13 @@ func TestGatewayReadsRaceUpdates(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				// /healthz may truthfully answer 503 here: with a 3 ms
+				// updater a producer is stale after 12 ms without a clean
+				// pull, which four hammering readers on a 2-core box can
+				// cause. This test is about races; health verdicts are
+				// TestGatewayHealthzRecovery's, on a clock it controls.
+				degraded := strings.HasSuffix(url, "/healthz") && resp.StatusCode == http.StatusServiceUnavailable
+				if resp.StatusCode != http.StatusOK && !degraded {
 					errs <- fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 					return
 				}

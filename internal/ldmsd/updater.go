@@ -151,6 +151,40 @@ func exportName(producer, set string) string {
 	return producer + "/" + set
 }
 
+// mirrorAdded and mirrorGone count the live mirrors under each re-export
+// name. Usually that is one, but the halves of a failover pair re-export
+// the same qualified names and may both hold a mirror while a takeover
+// overlaps; what the daemon keeps per name — the hop chain, the window's
+// set block — has to outlive the standby's mirror and go with the last.
+func (d *Daemon) mirrorAdded(name string) {
+	d.mirrorMu.Lock()
+	d.mirrors[name]++
+	d.mirrorMu.Unlock()
+}
+
+func (d *Daemon) mirrorGone(name string) {
+	d.mirrorMu.Lock()
+	defer d.mirrorMu.Unlock()
+	if d.mirrors[name]--; d.mirrors[name] > 0 {
+		return
+	}
+	delete(d.mirrors, name)
+	// Still under mirrorMu: a mirror added a moment later must find its
+	// block forgotten already, not lose it after its first sample.
+	d.forgetSet(name)
+}
+
+// forgetSet drops what the daemon keeps per published set name once the
+// set is gone: its hop chain and its history in the gateway's window. A
+// set that leaves and is never forgotten would pin its whole block and
+// keep answering /api/v1/metrics with its last sample for good.
+func (d *Daemon) forgetSet(name string) {
+	d.trace.drop(name)
+	if w := d.window.Load(); w != nil {
+		w.Forget(name)
+	}
+}
+
 // AddUpdater registers an update policy.
 func (d *Daemon) AddUpdater(name string, interval, offset time.Duration, synchronous bool) (*Updater, error) {
 	if interval <= 0 {
@@ -651,24 +685,32 @@ func (u *Updater) prune(current []string) {
 	u.hmu.Unlock()
 }
 
-// releaseSet drops one set's mirror: out of the reducer's fold group, out
-// of the daemon registry, its arena chunks freed.
+// releaseSet drops one set's pull state, mirror included.
 func (u *Updater) releaseSet(us *updSet) {
-	if us.mirror != nil {
-		if u.reducer != nil {
-			u.retireReduced(u.reducer.RemoveMember(us.regName))
-		}
-		if us.inReg {
-			u.d.reg.Remove(us.regName)
-			us.inReg = false
-		}
-		u.d.trace.drop(us.regName)
-		us.mirror.Delete()
-		us.mirror = nil
-	}
+	u.dropMirror(us)
 	us.remote = nil
 	us.buf = nil
 	us.trace = nil
+}
+
+// dropMirror releases us.mirror, if there is one: out of the reducer's fold
+// group, out of the daemon registry, its arena chunks freed, and — when no
+// other producer mirrors the same re-export name — its hop chain and
+// window history forgotten.
+func (u *Updater) dropMirror(us *updSet) {
+	if us.mirror == nil {
+		return
+	}
+	if u.reducer != nil {
+		u.retireReduced(u.reducer.RemoveMember(us.regName))
+	}
+	if us.inReg {
+		u.d.reg.Remove(us.regName)
+		us.inReg = false
+	}
+	u.d.mirrorGone(us.regName)
+	us.mirror.Delete()
+	us.mirror = nil
 }
 
 // retireReduced deregisters and releases reduced sets whose last member
@@ -676,7 +718,7 @@ func (u *Updater) releaseSet(us *updSet) {
 func (u *Updater) retireReduced(sets []*metric.Set) {
 	for _, rs := range sets {
 		u.d.reg.Remove(rs.Name())
-		u.d.trace.drop(rs.Name())
+		u.d.forgetSet(rs.Name())
 		rs.Delete()
 	}
 }
@@ -715,16 +757,12 @@ func (u *Updater) lookupSet(conn transport.Conn, us *updSet) bool {
 	// Reuse the existing mirror when the metadata generation still
 	// matches; otherwise build a fresh one.
 	if us.mirror == nil || us.mirror.MGN() != remote.Meta().MGN {
-		if us.mirror != nil {
-			if u.reducer != nil {
-				u.retireReduced(u.reducer.RemoveMember(us.regName))
-			}
-			if us.inReg {
-				u.d.reg.Remove(us.regName)
-				us.inReg = false
-			}
-			us.mirror.Delete()
-		}
+		// The new mirror is counted before the old one is let go: a set
+		// that came back under a new MGN (its sampler restarted) keeps its
+		// name's window history, which the window itself restarts if the
+		// metric list is not the same.
+		u.d.mirrorAdded(us.regName)
+		u.dropMirror(us)
 		// The mirror takes the local re-export name: the remote MGN/DGN
 		// still propagate verbatim through LoadData, so staleness and
 		// torn-read detection survive the hop under the qualified name.
@@ -732,6 +770,7 @@ func (u *Updater) lookupSet(conn transport.Conn, us *updSet) bool {
 		if err != nil {
 			// Arena exhaustion or malformed metadata: count and retry on a
 			// later pass.
+			u.d.mirrorGone(us.regName)
 			us.mirror = nil
 			u.errors.Add(1)
 			return true

@@ -351,6 +351,35 @@ func (s *Set) ReadValues(vals []Value) (ts time.Time, dgn uint64, consistent boo
 	return time.Unix(sec, usec*1000), dgn, consistent, n
 }
 
+// ReadBits is the §III-A reader protocol for a consumer that keeps the raw
+// 64-bit representations itself (the query window's value matrix): under a
+// single read-lock acquisition it reports the chunk fresh when it is
+// consistent and, if haveSeen, its DGN differs from seen — and only then
+// copies every metric's bits into dst (at most len(dst) of them). A torn or
+// already-seen chunk leaves dst untouched, so the caller may hand in live
+// storage it would otherwise have to stage through a scratch copy.
+//
+//ldms:hotpath per-sample window read; the window's AllocsPerRun test guards it
+func (s *Set) ReadBits(dst []uint64, seen uint64, haveSeen bool) (ts time.Time, dgn uint64, fresh bool) {
+	defs, offs := s.schema.defs, s.schema.offsets
+	if len(dst) > len(defs) {
+		dst = dst[:len(defs)]
+	}
+	s.mu.RLock()
+	dgn = le.Uint64(s.data[offDGN:])
+	if le.Uint64(s.data[offFlags:])&flagConsistent == 0 || (haveSeen && dgn == seen) {
+		s.mu.RUnlock()
+		return time.Time{}, dgn, false
+	}
+	for i := range dst {
+		dst[i] = getBits(s.data, offs[i], defs[i].Type)
+	}
+	sec := int64(le.Uint64(s.data[offSec:]))
+	usec := int64(le.Uint64(s.data[offUsec:]))
+	s.mu.RUnlock()
+	return time.Unix(sec, usec*1000), dgn, true
+}
+
 // put writes raw bits of type t at data offset off. Caller holds the lock.
 func (s *Set) put(off uint32, t Type, bits uint64) {
 	switch t.Size() {

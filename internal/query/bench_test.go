@@ -203,37 +203,10 @@ func BenchmarkQueryConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressAppend measures the compressed per-sample append —
-// ring write + latest cache + amortized block seal. The pre-loop warms
-// every block slot through one full generation so steady-state buffers
-// are grown; CI asserts 0 allocs/op after that.
-func BenchmarkCompressAppend(b *testing.B) {
-	var c cseries
-	c.init(1024)
-	base := time.Unix(1700000000, 0).UnixNano()
-	ts := base
-	v := uint64(0)
-	// Warm-up: cycle every block slot once so seal buffers reach their
-	// steady-state capacity.
-	for i := 0; i < 2*1024; i++ {
-		ts += int64(time.Second)
-		v++
-		c.push(ts, v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		ts += int64(time.Second)
-		v++
-		c.push(ts, v)
-	}
-}
-
 // BenchmarkCompressDecode measures serving a full query from sealed
 // blocks: decode of a ~1024-point compressed series.
 func BenchmarkCompressDecode(b *testing.B) {
-	var c cseries
-	c.init(1024)
+	c := newCSeries(1024)
 	base := time.Unix(1700000000, 0).UnixNano()
 	for i := 0; i < 2*1024; i++ {
 		c.push(base+int64(i)*int64(time.Second), uint64(i))
@@ -242,7 +215,7 @@ func BenchmarkCompressDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		out = c.appendSince(out[:0], 0, metric.TypeU64)
+		out = c.appendSince(out[:0], 0)
 	}
 	if len(out) != c.count() {
 		b.Fatalf("decoded %d points, want %d", len(out), c.count())

@@ -2,12 +2,13 @@ package query
 
 // Gorilla-style window-point compression (Facebook's in-memory TSDB,
 // VLDB'15): delta-of-delta timestamp encoding plus XOR float/value
-// encoding, bit-packed. The window's per-series storage becomes a small
-// uncompressed "head" ring — so the latest points stay O(1) readable and
-// the per-sample append is a plain ring write — plus a ring of sealed
-// compressed blocks. Sealing happens once every blockPoints samples and
-// re-encodes the head into the oldest block slot, reusing its byte
-// buffer, so the steady-state append path performs zero allocations.
+// encoding, bit-packed. A compressed window keeps each set's newest
+// blockPoints samples in the same uncompressed set block the plain window
+// uses — so the latest sample stays O(1) readable and the per-sample
+// append is a plain row write — plus a ring of sealed blocks behind it.
+// Every blockPoints samples the set block is re-encoded, one column per
+// metric, into the oldest sealed slot, reusing its byte buffers, so the
+// steady-state append path performs zero allocations.
 //
 // The encoding is lossless on the raw 64-bit value representation
 // (metric.Value.Bits), so integer counters and float gauges round-trip
@@ -20,143 +21,125 @@ import (
 	"goldms/internal/metric"
 )
 
-// blockPoints is how many points a sealed block holds (and the head
-// ring's capacity). 128 points amortizes the per-block fixed cost
-// (one raw 128-bit first point) to ~1 bit/point.
+// blockPoints is how many samples a sealed block holds (and the set
+// block's capacity in compressed mode). 128 points amortizes the
+// per-column fixed cost (one raw 128-bit first point) to ~1 bit/point.
 const blockPoints = 128
 
-// cblock is one sealed, immutable compressed run of points. buf is
-// reused across seals once the block ring wraps.
-type cblock struct {
-	buf   []byte
-	n     int
-	minTS int64
-	maxTS int64
+// sealedBlock is one immutable compressed run of exactly blockPoints
+// samples: one encoded (timestamp, value) stream per metric. The buffers
+// are reused across seals once the ring wraps.
+type sealedBlock struct {
+	maxTS int64 // latest stamp inside; a cut past it skips the decode
+	cols  [][]byte
 }
 
-// cseries is one metric series in compressed mode: an uncompressed head
-// ring plus a fixed ring of sealed blocks, oldest overwritten.
-type cseries struct {
-	head     ring
-	blocks   []cblock
-	bnext    int // next block slot a seal writes
-	bn       int // sealed blocks live (saturates at len(blocks))
-	lastTS   int64
-	lastBits uint64
-	haveLast bool
+// sealedRing is a set's compressed history: a fixed ring of sealed
+// blocks, oldest overwritten, fed from the set block in front of it.
+type sealedRing struct {
+	blocks  []sealedBlock
+	next    int // slot the next seal writes
+	n       int // sealed blocks live (saturates at len(blocks))
+	pending int // newest set-block samples not sealed yet (< blockPoints)
 }
 
-// initCSeries sizes a compressed series for ~points retained samples:
-// one head ring of blockPoints plus enough block slots to cover the
-// rest (capacity rounds up to a multiple of the block size).
-func (c *cseries) init(points int) {
-	c.head.pts = make([]point, blockPoints)
-	nblocks := (points + blockPoints - 1) / blockPoints
-	if nblocks < 1 {
-		nblocks = 1
+// newSealedRing sizes the ring so sealed blocks alone cover points
+// samples of card metrics.
+func newSealedRing(points, card int) *sealedRing {
+	r := &sealedRing{blocks: make([]sealedBlock, (points+blockPoints-1)/blockPoints)}
+	for i := range r.blocks {
+		r.blocks[i].cols = make([][]byte, card)
 	}
-	c.blocks = make([]cblock, nblocks)
+	return r
 }
 
-// push appends one point. The hot path is one ring write plus the
-// latest-point cache; every blockPoints-th call additionally seals the
-// head into a compressed block (amortized, buffer reused).
+// committed accounts for one sample committed to the set block b and,
+// every blockPoints-th time, seals b's contents. b is left as it is (its
+// newest row keeps serving Latest); pending says how much of it is not
+// behind a seal yet.
 //
-//ldms:hotpath per-sample window append; CI guards 0 allocs/op
-func (c *cseries) push(ts int64, bitsv uint64) {
-	c.head.push(ts, bitsv)
-	c.lastTS, c.lastBits, c.haveLast = ts, bitsv, true
-	if c.head.n == len(c.head.pts) {
-		c.seal()
+//ldms:hotpath per-sample window append; TestObserveAllocs guards 0 allocs
+func (r *sealedRing) committed(b *block) {
+	if r.pending++; r.pending == blockPoints {
+		r.seal(b)
+		r.pending = 0
 	}
 }
 
-// seal compresses the full head into the next block slot and resets the
-// head. The slot's buffer is truncated and reused, so once the block
-// ring has wrapped no allocation happens here either.
+// seal compresses the full set block into the next slot, column by
+// column. The slot's buffers are truncated and reused, so once the ring
+// has wrapped no allocation happens here either.
 //
 //ldms:hotpath amortized per-block encode on the window append path
-func (c *cseries) seal() {
-	blk := &c.blocks[c.bnext]
-	w := bitWriter{buf: blk.buf[:0]}
-	var e genc
-	n := c.head.n
-	start := c.head.next - n
-	if start < 0 {
-		start += len(c.head.pts)
+func (r *sealedRing) seal(b *block) {
+	blk := &r.blocks[r.next]
+	blk.maxTS = b.ts[0]
+	for _, ts := range b.ts {
+		blk.maxTS = max(blk.maxTS, ts)
 	}
-	for k := 0; k < n; k++ {
-		p := c.head.pts[(start+k)%len(c.head.pts)]
-		e.encode(&w, p.ts, p.bits)
-		if k == 0 {
-			blk.minTS = p.ts
+	for col := range blk.cols {
+		w := bitWriter{buf: blk.cols[col][:0]}
+		var e genc
+		for i := 0; i < blockPoints; i++ {
+			k := b.slot(i, blockPoints)
+			e.encode(&w, b.ts[k], b.vals[k*b.card+col])
 		}
-		blk.maxTS = p.ts
+		w.flush()
+		blk.cols[col] = w.buf
 	}
-	w.flush()
-	blk.buf = w.buf
-	blk.n = n
-	c.bnext++
-	if c.bnext == len(c.blocks) {
-		c.bnext = 0
+	r.next++
+	if r.next == len(r.blocks) {
+		r.next = 0
 	}
-	if c.bn < len(c.blocks) {
-		c.bn++
+	if r.n < len(r.blocks) {
+		r.n++
 	}
-	c.head.n, c.head.next = 0, 0
 }
 
-// count returns the live points retained (sealed + head).
-func (c *cseries) count() int {
-	total := c.head.n
-	start := c.bnext - c.bn
-	if start < 0 {
-		start += len(c.blocks)
-	}
-	for k := 0; k < c.bn; k++ {
-		total += c.blocks[(start+k)%len(c.blocks)].n
+// bytes returns the sealed footprint: compressed column bytes plus the
+// per-column slice headers.
+func (r *sealedRing) bytes() int {
+	total := 0
+	for i := range r.blocks {
+		total += 24 * len(r.blocks[i].cols)
+		for _, buf := range r.blocks[i].cols {
+			total += cap(buf)
+		}
 	}
 	return total
 }
 
-// bytes returns the approximate retained footprint: compressed block
-// bytes plus the head ring's fixed backing array.
-func (c *cseries) bytes() int {
-	total := len(c.head.pts) * 16
-	for i := range c.blocks {
-		total += cap(c.blocks[i].buf)
-	}
-	return total
-}
-
-// appendSince decodes every point with ts >= sinceNanos, oldest first,
-// into out. Blocks wholly older than the bound are skipped without
-// decoding (each block carries its time range).
-func (c *cseries) appendSince(out []Point, sinceNanos int64, t metric.Type) []Point {
-	start := c.bnext - c.bn
-	if start < 0 {
-		start += len(c.blocks)
-	}
-	for k := 0; k < c.bn; k++ {
-		blk := &c.blocks[(start+k)%len(c.blocks)]
-		if blk.maxTS < sinceNanos {
+// appendSince decodes column col's points stamped at or after since,
+// oldest first, into out, leaving out the skip oldest sealed samples.
+// Blocks wholly older than the bound are skipped without decoding.
+func (r *sealedRing) appendSince(out []Point, col int, since int64, t metric.Type, skip int) []Point {
+	for i := 0; i < r.n; i++ {
+		k := r.next - r.n + i
+		if k < 0 {
+			k += len(r.blocks)
+		}
+		if skip >= blockPoints {
+			skip -= blockPoints
 			continue
 		}
-		out = decodeBlock(out, blk, sinceNanos, t)
+		if blk := &r.blocks[k]; blk.maxTS >= since {
+			out = decodeColumn(out, blk.cols[col], skip, since, t)
+		}
+		skip = 0
 	}
-	return c.head.appendSince(out, sinceNanos, t)
+	return out
 }
 
-// decodeBlock appends the block's points at or after sinceNanos to out.
-func decodeBlock(out []Point, blk *cblock, sinceNanos int64, t metric.Type) []Point {
-	r := bitReader{buf: blk.buf}
+// decodeColumn appends one sealed column's points at or after since to
+// out, leaving out its first skip.
+func decodeColumn(out []Point, buf []byte, skip int, since int64, t metric.Type) []Point {
+	r := bitReader{buf: buf}
 	var d gdec
-	for i := 0; i < blk.n; i++ {
+	for i := 0; i < blockPoints; i++ {
 		ts, bitsv := d.decode(&r)
-		if ts < sinceNanos {
-			continue
+		if i >= skip && ts >= since {
+			out = append(out, makePoint(ts, bitsv, t))
 		}
-		out = append(out, makePoint(ts, bitsv, t))
 	}
 	return out
 }

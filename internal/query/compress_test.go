@@ -8,6 +8,38 @@ import (
 	"goldms/internal/metric"
 )
 
+// point is one (timestamp, raw bits) pair fed to a test series.
+type point struct {
+	ts   int64
+	bits uint64
+}
+
+// cseries is a one-metric compressed series driven the way Observe drives
+// a set's storage: row write, commit, seal accounting.
+type cseries struct {
+	head   block
+	sealed *sealedRing
+}
+
+func newCSeries(points int) *cseries {
+	return &cseries{head: newBlock(blockPoints, 1), sealed: newSealedRing(points, 1)}
+}
+
+func (c *cseries) push(ts int64, bits uint64) {
+	c.head.row()[0] = bits
+	c.head.commit(ts)
+	c.sealed.committed(&c.head)
+}
+
+// count returns the live points retained (sealed + unsealed head).
+func (c *cseries) count() int { return c.sealed.n*blockPoints + c.sealed.pending }
+
+// appendSince serves everything retained at or after sinceNanos.
+func (c *cseries) appendSince(out []Point, sinceNanos int64) []Point {
+	out = c.sealed.appendSince(out, 0, sinceNanos, metric.TypeU64, 0)
+	return c.head.appendSince(out, 0, sinceNanos, metric.TypeU64, c.sealed.pending)
+}
+
 // pushAll feeds points into a compressed series and mirrors them into a
 // reference slice for roundtrip comparison.
 func pushAll(c *cseries, ref *[]point, pts []point) {
@@ -21,7 +53,7 @@ func pushAll(c *cseries, ref *[]point, pts []point) {
 // that fits its retained capacity, bit-exact.
 func checkRoundtrip(t *testing.T, c *cseries, ref []point) {
 	t.Helper()
-	got := c.appendSince(nil, math.MinInt64, metric.TypeU64)
+	got := c.appendSince(nil, math.MinInt64)
 	if len(got) != c.count() {
 		t.Fatalf("appendSince served %d points, count() says %d", len(got), c.count())
 	}
@@ -43,8 +75,7 @@ func checkRoundtrip(t *testing.T, c *cseries, ref []point) {
 }
 
 func TestCompressRoundtripRegular(t *testing.T) {
-	var c cseries
-	c.init(512)
+	c := newCSeries(512)
 	var ref []point
 	base := time.Unix(1700000000, 0).UnixNano()
 	pts := make([]point, 0, 700)
@@ -53,13 +84,12 @@ func TestCompressRoundtripRegular(t *testing.T) {
 		// dod/XOR buckets are tuned for.
 		pts = append(pts, point{base + int64(i)*int64(time.Second), uint64(i) * 4096})
 	}
-	pushAll(&c, &ref, pts)
-	checkRoundtrip(t, &c, ref)
+	pushAll(c, &ref, pts)
+	checkRoundtrip(t, c, ref)
 }
 
 func TestCompressRoundtripJitterAndFloats(t *testing.T) {
-	var c cseries
-	c.init(256)
+	c := newCSeries(256)
 	var ref []point
 	base := time.Unix(1700000000, 0).UnixNano()
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -81,13 +111,12 @@ func TestCompressRoundtripJitterAndFloats(t *testing.T) {
 		}
 		pts = append(pts, point{ts, v})
 	}
-	pushAll(&c, &ref, pts)
-	checkRoundtrip(t, &c, ref)
+	pushAll(c, &ref, pts)
+	checkRoundtrip(t, c, ref)
 }
 
 func TestCompressRoundtripAdversarial(t *testing.T) {
-	var c cseries
-	c.init(blockPoints) // head + one block slot: exercises tight wraps
+	c := newCSeries(blockPoints) // head + one block slot: exercises tight wraps
 	var ref []point
 	pts := []point{
 		{0, 0},
@@ -99,8 +128,8 @@ func TestCompressRoundtripAdversarial(t *testing.T) {
 		{math.MaxInt64 / 2, 0xdeadbeef},  // 64-bit dod escape bucket
 		{math.MaxInt64/2 + 1, 0xdeadbee}, // narrow XOR window shrink
 	}
-	pushAll(&c, &ref, pts)
-	checkRoundtrip(t, &c, ref)
+	pushAll(c, &ref, pts)
+	checkRoundtrip(t, c, ref)
 
 	// Fill several full block generations so the block ring wraps and
 	// seals reuse previously grown buffers.
@@ -110,15 +139,14 @@ func TestCompressRoundtripAdversarial(t *testing.T) {
 		ts -= int64(time.Millisecond) // decreasing: negative deltas
 		more = append(more, point{ts, uint64(i) << (uint(i) % 48)})
 	}
-	pushAll(&c, &ref, more)
-	checkRoundtrip(t, &c, ref)
+	pushAll(c, &ref, more)
+	checkRoundtrip(t, c, ref)
 }
 
 // TestCompressFootprint pins the acceptance bar: steady regular telemetry
 // must retain points at ≥5× less RAM than the 16-byte raw representation.
 func TestCompressFootprint(t *testing.T) {
-	var c cseries
-	c.init(1024)
+	c := newCSeries(1024)
 	base := time.Unix(1700000000, 0).UnixNano()
 	// Fill until every block has been sealed at least once so bytes()
 	// reflects steady-state buffer sizes.
@@ -126,14 +154,11 @@ func TestCompressFootprint(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.push(base+int64(i)*int64(time.Second), uint64(2000+i%5))
 	}
-	sealed := c.count() - c.head.n
+	sealed := c.sealed.n * blockPoints
 	if sealed == 0 {
 		t.Fatal("no sealed blocks")
 	}
-	var blockBytes int
-	for i := range c.blocks {
-		blockBytes += cap(c.blocks[i].buf)
-	}
+	blockBytes := c.sealed.bytes()
 	perPoint := float64(blockBytes) / float64(sealed)
 	if perPoint > 16.0/5 {
 		t.Fatalf("sealed storage = %.2f B/point, want ≤ %.2f (≥5× vs raw 16 B)", perPoint, 16.0/5)
@@ -144,8 +169,7 @@ func TestCompressFootprint(t *testing.T) {
 // TestCompressSinceSkipsBlocks asserts the block time-range index cuts
 // decodes: a since bound past a block's maxTS must exclude its points.
 func TestCompressSinceSkipsBlocks(t *testing.T) {
-	var c cseries
-	c.init(4 * blockPoints)
+	c := newCSeries(4 * blockPoints)
 	base := time.Unix(1700000000, 0).UnixNano()
 	total := 3*blockPoints + 10
 	for i := 0; i < total; i++ {
@@ -154,7 +178,7 @@ func TestCompressSinceSkipsBlocks(t *testing.T) {
 	// Bound inside the second sealed block.
 	cut := blockPoints + blockPoints/2
 	since := base + int64(cut)*int64(time.Second)
-	got := c.appendSince(nil, since, metric.TypeU64)
+	got := c.appendSince(nil, since)
 	if want := total - cut; len(got) != want {
 		t.Fatalf("since cut served %d points, want %d", len(got), want)
 	}
@@ -162,7 +186,7 @@ func TestCompressSinceSkipsBlocks(t *testing.T) {
 		t.Fatalf("first served point = %d, want %d", got[0].Value.U64(), cut)
 	}
 	// Bound past everything: nothing served.
-	if got := c.appendSince(nil, base+int64(total)*int64(time.Second), metric.TypeU64); len(got) != 0 {
+	if got := c.appendSince(nil, base+int64(total)*int64(time.Second)); len(got) != 0 {
 		t.Fatalf("future bound served %d points", len(got))
 	}
 }
@@ -197,5 +221,22 @@ func TestZigzag(t *testing.T) {
 	}
 	if zigzag(0) != 0 || zigzag(-1) != 1 || zigzag(1) != 2 {
 		t.Fatalf("zigzag small-magnitude mapping broken: %d %d %d", zigzag(0), zigzag(-1), zigzag(1))
+	}
+}
+
+// TestCompressDecodeAllocs is the read-side gate: serving a sealed series
+// into a buffer of the right size decodes in place, no allocation.
+func TestCompressDecodeAllocs(t *testing.T) {
+	c := newCSeries(1024)
+	base := time.Unix(1700000000, 0).UnixNano()
+	for i := 0; i < 2*1024; i++ {
+		c.push(base+int64(i)*int64(time.Second), uint64(i))
+	}
+	out := make([]Point, 0, c.count())
+	if allocs := testing.AllocsPerRun(20, func() { out = c.appendSince(out[:0], 0) }); allocs != 0 {
+		t.Fatalf("decode of %d points: %v allocs, want 0", c.count(), allocs)
+	}
+	if len(out) != c.count() {
+		t.Fatalf("decoded %d points, want %d", len(out), c.count())
 	}
 }

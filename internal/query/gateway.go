@@ -748,7 +748,7 @@ func (g *Gateway) handleExposition(w http.ResponseWriter, r *http.Request) {
 		e.Gauge("ldmsd_window_sets", "Set instances tracked by the recent window.", self, float64(ws.SeriesSets))
 		e.Gauge("ldmsd_window_series", "Metric series tracked by the recent window.", self, float64(ws.Series))
 		e.Gauge("ldmsd_window_points", "Samples currently retained across all window series.", self, float64(ws.Points))
-		e.Gauge("ldmsd_window_bytes", "Approximate retained-storage footprint of the window.", self, float64(ws.Bytes))
+		e.Gauge("ldmsd_window_bytes", "Window storage footprint: timestamp columns, value matrices, sealed blocks, shared directories.", self, float64(ws.Bytes))
 		e.Gauge("ldmsd_window_shards", "Lock stripes over the window set index.", self, float64(g.Window.Shards()))
 		compressed := 0.0
 		if g.Window.Compressed() {

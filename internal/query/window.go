@@ -20,6 +20,8 @@
 package query
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,8 +43,7 @@ const DefaultRetention = 10 * time.Minute
 // the defaults.
 type WindowOptions struct {
 	// Points is the per-series retained sample budget (default
-	// DefaultPoints). With compression enabled, capacity rounds up to a
-	// multiple of the compressed block size.
+	// DefaultPoints), the same with and without compression.
 	Points int
 	// Retention is the maximum history age served (default
 	// DefaultRetention).
@@ -51,26 +52,31 @@ type WindowOptions struct {
 	// of two (default DefaultShards).
 	Shards int
 	// Compress stores sealed history Gorilla-compressed
-	// (delta-of-delta timestamps + XOR values) behind a small
-	// uncompressed head ring, cutting RAM per retained point ≥5×.
+	// (delta-of-delta timestamps + XOR values) behind a blockPoints-deep
+	// uncompressed set block, cutting RAM per retained point ≥5×.
 	Compress bool
 }
 
 // Window is the recent-window cache. One Observe call per fresh consistent
-// sample pushes every metric of the set into per-series storage; Query,
-// Latest and Aggregate answer entirely from RAM.
+// sample writes the set's values as one row of its set block — one
+// timestamp ring and one value matrix per set instance, as the set itself
+// carries one transaction timestamp for all its metrics; Query, Latest and
+// Aggregate answer entirely from RAM.
 //
 // Concurrency: the set index is hash-sharded with one RWMutex per shard
-// (taken only to look up or create a set's series block), so updater
-// inserts and HTTP queries on different sets never contend on a single
-// structure; each series block has its own mutex, held only for the
-// duration of a ring write or copy.
+// (taken only to look up or create a set's block), so updater inserts and
+// HTTP queries on different sets never contend on a single structure;
+// each set block has its own mutex, held only for the duration of a row
+// write or a column copy.
 type Window struct {
 	points    int
 	retention time.Duration
 	compress  bool
 
 	shards []windowShard
+
+	dirMu sync.Mutex
+	dirs  []*directory // the metric lists the window's sets share
 
 	observed   atomic.Int64 // samples recorded
 	skipped    atomic.Int64 // samples dropped (inconsistent or DGN-stale)
@@ -149,36 +155,176 @@ func (w *Window) Compressed() bool { return w.compress }
 // Shards returns the set-index lock-stripe count.
 func (w *Window) Shards() int { return len(w.shards) }
 
-// setSeries is one set instance's block of per-metric series.
+// directory is one schema's metric list: names, types and the name index.
+// Every set block whose set carries the same schema name and an identical
+// metric list points at the same directory, so a fleet of 1,000 instances
+// of one sampler holds one name index, not 1,000.
+type directory struct {
+	schema string
+	names  []string
+	types  []metric.Type
+	index  map[string]int
+	refs   int // set blocks pointing here; guarded by Window.dirMu
+}
+
+// matches reports whether set carries exactly this schema name and list.
+func (d *directory) matches(set *metric.Set) bool {
+	if set.SchemaName() != d.schema || set.Card() != len(d.names) {
+		return false
+	}
+	for i, name := range d.names {
+		if set.MetricName(i) != name || set.MetricType(i) != d.types[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dirFor returns the shared directory for set's metric list, building it
+// on first sight, and takes one reference on it. Distinct lists are few
+// (one per sampler plugin), so they are kept in a plain slice.
+func (w *Window) dirFor(set *metric.Set) *directory {
+	w.dirMu.Lock()
+	defer w.dirMu.Unlock()
+	for _, d := range w.dirs {
+		if d.matches(set) {
+			d.refs++
+			return d
+		}
+	}
+	card := set.Card()
+	d := &directory{
+		schema: set.SchemaName(),
+		names:  make([]string, card),
+		types:  make([]metric.Type, card),
+		index:  make(map[string]int, card),
+		refs:   1,
+	}
+	for i := range d.names {
+		d.names[i] = set.MetricName(i)
+		d.types[i] = set.MetricType(i)
+		d.index[d.names[i]] = i
+	}
+	w.dirs = append(w.dirs, d)
+	return d
+}
+
+// releaseDir drops one reference; the last one out removes the directory.
+func (w *Window) releaseDir(d *directory) {
+	w.dirMu.Lock()
+	defer w.dirMu.Unlock()
+	if d.refs--; d.refs == 0 {
+		w.dirs = slices.DeleteFunc(w.dirs, func(x *directory) bool { return x == d })
+	}
+}
+
+// setSeries is one set instance's recent history: the set block (every
+// retained sample of every metric) plus, in compressed mode, the sealed
+// blocks behind it.
 type setSeries struct {
 	instance string
-	schema   string
 	comp     uint64
-	names    []string
-	types    []metric.Type
-	index    map[string]int
+	dir      *directory
+	layout   *metric.Schema // the Schema last checked against dir; guarded by the shard lock
 
 	mu      sync.Mutex
-	rings   []ring    // uncompressed mode
-	cs      []cseries // compressed mode (nil when rings is used)
-	scratch []metric.Value
+	head    block
+	sealed  *sealedRing // compressed mode only; head then holds blockPoints
 	lastDGN uint64
 	haveDGN bool
 }
 
-// ring is a fixed-capacity circular buffer of points. next is the slot the
-// next push writes; n is the live count (saturates at capacity).
-type ring struct {
-	pts  []point
+// block is a fixed-capacity ring of whole samples, the way the paper's set
+// carries them: ONE transaction timestamp per sample in ts, and the
+// sample's card raw 64-bit values as one contiguous row of vals
+// (slot-major: slot k's row is vals[k*card:(k+1)*card]; each metric's
+// metric.Type decodes its column). next is the slot the next commit
+// publishes; n is the live count (saturates at capacity). unsorted counts
+// the commits left until the last backwards step of a producer's clock has
+// been overwritten; at 0 the stamps ascend in age order.
+//
+// Slot-major because ingest runs two orders of magnitude more often than
+// reads: an Observe is one contiguous row write straight out of the set's
+// data chunk, where a metric-major matrix would dirty card cache lines per
+// sample; the price is that a series cut strides the matrix.
+type block struct {
+	card int
+	ts   []int64
+	vals []uint64
 	next int
 	n    int
+
+	unsorted int
 }
 
-// point is one recorded sample: timestamp in unix nanoseconds plus the
-// value's raw 64-bit representation (the series' metric.Type decodes it).
-type point struct {
-	ts   int64
-	bits uint64
+func newBlock(points, card int) block {
+	return block{card: card, ts: make([]int64, points), vals: make([]uint64, points*card)}
+}
+
+// row is the slot the next commit publishes: the oldest sample's row once
+// the ring is full, so a caller must not scribble on it unless it commits.
+//
+//ldms:hotpath per-sample window append; TestObserveAllocs guards 0 allocs
+func (b *block) row() []uint64 {
+	return b.vals[b.next*b.card : (b.next+1)*b.card]
+}
+
+// commit publishes row() as the newest sample, stamped ts, overwriting
+// the oldest once full.
+//
+//ldms:hotpath per-sample window append; TestObserveAllocs guards 0 allocs
+func (b *block) commit(ts int64) {
+	if b.n > 0 && ts < b.ts[b.slot(b.n-1, b.n)] {
+		b.unsorted = len(b.ts)
+	} else if b.unsorted > 0 {
+		b.unsorted--
+	}
+	b.ts[b.next] = ts
+	b.next++
+	if b.next == len(b.ts) {
+		b.next = 0
+	}
+	if b.n < len(b.ts) {
+		b.n++
+	}
+}
+
+// slot maps age order onto the ring: the i-th oldest of the newest last
+// samples (0 <= i < last <= n) lives in slot(i, last).
+func (b *block) slot(i, last int) int {
+	k := b.next - last + i
+	if k < 0 {
+		k += len(b.ts)
+	}
+	return k
+}
+
+// newestSince narrows the newest last samples to those that can be
+// stamped at or after since: a binary search while the stamps ascend, no
+// narrowing at all while a backwards step is still in the ring (the
+// per-sample filter in appendSince then does the work, so the answer is
+// exactly the samples at or after the bound either way).
+func (b *block) newestSince(since int64, last int) int {
+	if b.unsorted > 0 {
+		return last
+	}
+	return last - sort.Search(last, func(i int) bool { return b.ts[b.slot(i, last)] >= since })
+}
+
+// appendSince appends column col of the newest last samples stamped at or
+// after since, oldest first: the ring's older span, then the span that
+// wrapped to its start. Caller holds the series lock.
+func (b *block) appendSince(out []Point, col int, since int64, t metric.Type, last int) []Point {
+	lo := b.slot(0, last)
+	hi := min(lo+last, len(b.ts))
+	for _, span := range [2][2]int{{lo, hi}, {0, last - (hi - lo)}} {
+		for k := span[0]; k < span[1]; k++ {
+			if ts := b.ts[k]; ts >= since {
+				out = append(out, makePoint(ts, b.vals[k*b.card+col], t))
+			}
+		}
+	}
+	return out
 }
 
 // makePoint rebuilds a served Point from its stored representation.
@@ -186,44 +332,25 @@ func makePoint(ts int64, bits uint64, t metric.Type) Point {
 	return Point{Time: time.Unix(0, ts), Value: metric.Value{Type: t, Bits: bits}}
 }
 
-// push appends one point, overwriting the oldest once full.
-//
-//ldms:hotpath per-sample window append; CI guards 0 allocs/op
-func (r *ring) push(ts int64, bits uint64) {
-	r.pts[r.next] = point{ts, bits}
-	r.next++
-	if r.next == len(r.pts) {
-		r.next = 0
-	}
-	if r.n < len(r.pts) {
-		r.n++
-	}
-}
-
 // Observe records the set's current sample into the window. Inconsistent
 // chunks and chunks whose DGN has not advanced since the last observation
-// are dropped, mirroring the updater's own storage filter. It is safe to
-// call concurrently with Query/Latest/Aggregate and with Observes of
-// other sets.
+// are dropped, mirroring the updater's own storage filter; a fresh one is
+// read under the set's lock straight into the block's next row. It is
+// safe to call concurrently with Query/Latest/Aggregate and with Observes
+// of other sets.
 func (w *Window) Observe(set *metric.Set) {
 	ss := w.seriesFor(set)
 	ss.mu.Lock()
-	ts, dgn, consistent, n := set.ReadValues(ss.scratch)
-	if !consistent || (ss.haveDGN && dgn == ss.lastDGN) {
+	ts, dgn, fresh := set.ReadBits(ss.head.row(), ss.lastDGN, ss.haveDGN)
+	if !fresh {
 		ss.mu.Unlock()
 		w.skipped.Add(1)
 		return
 	}
 	ss.lastDGN, ss.haveDGN = dgn, true
-	tn := ts.UnixNano()
-	if ss.cs != nil {
-		for i := 0; i < n; i++ {
-			ss.cs[i].push(tn, ss.scratch[i].Bits)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			ss.rings[i].push(tn, ss.scratch[i].Bits)
-		}
+	ss.head.commit(ts.UnixNano())
+	if ss.sealed != nil {
+		ss.sealed.committed(&ss.head)
 	}
 	ss.mu.Unlock()
 	w.observed.Add(1)
@@ -232,59 +359,54 @@ func (w *Window) Observe(set *metric.Set) {
 	}
 }
 
-// seriesFor returns (creating if needed) the set's series block.
+// seriesFor returns the set's series block, creating it if needed. A
+// block is checked against a set's metric list once per Schema object: a
+// rebuilt mirror (its producer restarted) or the other half of a failover
+// pair arrives under the same name with a Schema of its own, and continues
+// the series if the list is the same; under another list it is a new set
+// and starts a new block, so a row never mixes two layouts.
 func (w *Window) seriesFor(set *metric.Set) *setSeries {
-	name := set.Name()
+	name, layout := set.Name(), set.Schema()
 	sh := w.shardFor(name)
 	sh.mu.RLock()
 	ss := sh.sets[name]
+	known := ss != nil && ss.layout == layout
 	sh.mu.RUnlock()
-	if ss != nil {
+	if known {
 		return ss
 	}
-	card := set.Card()
-	ss = &setSeries{
-		instance: name,
-		schema:   set.SchemaName(),
-		comp:     set.CompID(0),
-		names:    make([]string, card),
-		types:    make([]metric.Type, card),
-		index:    make(map[string]int, card),
-		scratch:  make([]metric.Value, card),
-	}
-	if w.compress {
-		ss.cs = make([]cseries, card)
-	} else {
-		ss.rings = make([]ring, card)
-	}
-	for i := 0; i < card; i++ {
-		ss.names[i] = set.MetricName(i)
-		ss.types[i] = set.MetricType(i)
-		ss.index[ss.names[i]] = i
-		if w.compress {
-			ss.cs[i].init(w.points)
-		} else {
-			ss.rings[i].pts = make([]point, w.points)
-		}
-	}
 	sh.mu.Lock()
-	if prev := sh.sets[name]; prev != nil {
-		// Another observer created it first.
-		sh.mu.Unlock()
-		return prev
+	defer sh.mu.Unlock()
+	if ss = sh.sets[name]; ss != nil {
+		if ss.layout == layout || ss.dir.matches(set) {
+			ss.layout = layout
+			return ss
+		}
+		w.releaseDir(ss.dir)
+	}
+	ss = &setSeries{instance: name, comp: set.CompID(0), dir: w.dirFor(set), layout: layout}
+	if w.compress {
+		ss.head = newBlock(blockPoints, set.Card())
+		ss.sealed = newSealedRing(w.points, set.Card())
+	} else {
+		ss.head = newBlock(w.points, set.Card())
 	}
 	sh.sets[name] = ss
-	sh.mu.Unlock()
 	return ss
 }
 
-// Forget drops the named set's series (e.g. after the set left the
-// directory). Queries issued concurrently finish against the old block.
+// Forget drops the named set's series (the set left the directory) and its
+// reference on the shared directory. Queries issued concurrently finish
+// against the old block.
 func (w *Window) Forget(instance string) {
 	sh := w.shardFor(instance)
 	sh.mu.Lock()
+	ss := sh.sets[instance]
 	delete(sh.sets, instance)
 	sh.mu.Unlock()
+	if ss != nil {
+		w.releaseDir(ss.dir)
+	}
 }
 
 // Point is one sample of a series as served to consumers.
@@ -320,120 +442,72 @@ func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series
 
 	var out []Series
 	for _, ss := range w.blocks() {
-		i, ok := ss.index[metricName]
+		col, ok := ss.dir.index[metricName]
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
-		s := Series{
-			Instance: ss.instance,
-			Schema:   ss.schema,
-			Metric:   metricName,
-			CompID:   ss.comp,
-			Type:     ss.types[i],
-		}
 		ss.mu.Lock()
-		if ss.cs != nil {
-			s.Points = ss.cs[i].appendSince(nil, sinceNanos, ss.types[i])
-		} else {
-			s.Points = ss.rings[i].copySince(sinceNanos, ss.types[i])
-		}
+		pts := ss.cut(col, sinceNanos, w.points)
 		ss.mu.Unlock()
-		if len(s.Points) > 0 {
-			out = append(out, s)
+		if len(pts) > 0 {
+			out = append(out, ss.series(col, pts))
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Instance < out[b].Instance })
 	return out
 }
 
-// copySince extracts points with ts >= sinceNanos in ascending order.
-// Pushes arrive time-ordered, so the ring is sorted from its oldest slot;
-// a binary search finds the cut and one exact-size copy serves the rest.
-// An empty ring or a bound past the newest point returns nil rather than
-// an empty non-nil slice. Caller holds the series lock.
-func (r *ring) copySince(sinceNanos int64, t metric.Type) []Point {
-	if r.n == 0 {
-		return nil
+// series labels one metric's served points with the block's identity.
+func (ss *setSeries) series(col int, pts []Point) Series {
+	return Series{
+		Instance: ss.instance,
+		Schema:   ss.dir.schema,
+		Metric:   ss.dir.names[col],
+		CompID:   ss.comp,
+		Type:     ss.dir.types[col],
+		Points:   pts,
 	}
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.pts)
-	}
-	at := func(k int) point { return r.pts[(start+k)%len(r.pts)] }
-	cut := sort.Search(r.n, func(k int) bool { return at(k).ts >= sinceNanos })
-	if cut == r.n {
-		return nil
-	}
-	out := make([]Point, r.n-cut)
-	for k := range out {
-		p := at(cut + k)
-		out[k] = makePoint(p.ts, p.bits, t)
-	}
-	return out
 }
 
-// appendSince appends points with ts >= sinceNanos in ascending order to
-// out (the compressed head path; same cut rules as copySince). Caller
-// holds the series lock.
-func (r *ring) appendSince(out []Point, sinceNanos int64, t metric.Type) []Point {
-	if r.n == 0 {
-		return out
+// cut extracts column col's points stamped at or after since, oldest
+// first, or nil when there are none. Both storages serve the newest
+// points samples and no more. Caller holds the series lock.
+func (ss *setSeries) cut(col int, since int64, points int) []Point {
+	t := ss.dir.types[col]
+	if ss.sealed == nil {
+		last := ss.head.newestSince(since, ss.head.n)
+		if last == 0 {
+			return nil
+		}
+		return ss.head.appendSince(make([]Point, 0, last), col, since, t, last)
 	}
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.pts)
-	}
-	at := func(k int) point { return r.pts[(start+k)%len(r.pts)] }
-	cut := sort.Search(r.n, func(k int) bool { return at(k).ts >= sinceNanos })
-	for k := cut; k < r.n; k++ {
-		p := at(k)
-		out = append(out, makePoint(p.ts, p.bits, t))
-	}
-	return out
+	// Sealed capacity rounds up to whole blocks: skip what it holds beyond
+	// the budget so Points means the same thing with and without Compress.
+	pending := ss.sealed.pending
+	out := ss.sealed.appendSince(nil, col, since, t, ss.sealed.n*blockPoints+pending-points)
+	return ss.head.appendSince(out, col, since, t, ss.head.newestSince(since, min(pending, points)))
 }
 
 // Latest returns the newest recorded point of the named metric for every
 // matching series (comp == 0 matches all components), sorted by instance.
-// In compressed mode this is O(1) per series: the head keeps a cached
-// latest point, never a block decode.
+// It is O(1) per series in both storages: the newest sample is always in
+// the set block, never behind a block decode.
 func (w *Window) Latest(metricName string, comp uint64) []Series {
 	w.queries.Add(1)
 	var out []Series
 	for _, ss := range w.blocks() {
-		i, ok := ss.index[metricName]
+		col, ok := ss.dir.index[metricName]
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
 		ss.mu.Lock()
-		var p point
-		var have bool
-		if ss.cs != nil {
-			c := &ss.cs[i]
-			if c.haveLast {
-				p, have = point{c.lastTS, c.lastBits}, true
-			}
-		} else {
-			r := &ss.rings[i]
-			if r.n > 0 {
-				last := r.next - 1
-				if last < 0 {
-					last = len(r.pts) - 1
-				}
-				p, have = r.pts[last], true
-			}
-		}
+		// Sealing never empties the head, so the newest sample is its
+		// newest row in both storages.
+		pts := ss.head.appendSince(nil, col, math.MinInt64, ss.dir.types[col], min(ss.head.n, 1))
 		ss.mu.Unlock()
-		if !have {
-			continue
+		if len(pts) > 0 {
+			out = append(out, ss.series(col, pts))
 		}
-		out = append(out, Series{
-			Instance: ss.instance,
-			Schema:   ss.schema,
-			Metric:   metricName,
-			CompID:   ss.comp,
-			Type:     ss.types[i],
-			Points:   []Point{makePoint(p.ts, p.bits, ss.types[i])},
-		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Instance < out[b].Instance })
 	return out
@@ -442,11 +516,13 @@ func (w *Window) Latest(metricName string, comp uint64) []Series {
 // MetricNames lists every metric name present in the window, sorted.
 func (w *Window) MetricNames() []string {
 	seen := make(map[string]bool)
-	for _, ss := range w.blocks() {
-		for _, n := range ss.names {
+	w.dirMu.Lock()
+	for _, d := range w.dirs {
+		for _, n := range d.names {
 			seen[n] = true
 		}
 	}
+	w.dirMu.Unlock()
 	names := make([]string, 0, len(seen))
 	for n := range seen {
 		names = append(names, n)
@@ -474,15 +550,22 @@ type WindowStats struct {
 	SeriesSets int   // set instances tracked
 	Series     int   // individual metric series
 	Points     int64 // samples currently retained across all series
-	Bytes      int64 // approximate retained-storage footprint
+	Bytes      int64 // storage footprint: timestamp columns, matrices, sealed blocks, directories
 	Observed   int64 // samples recorded
 	Skipped    int64 // samples dropped (inconsistent / stale DGN)
 	Queries    int64 // Query/Latest calls served
 	Aggregates int64 // Aggregate calls served
 }
 
-// Stats returns the window's counters. Points and Bytes take each
-// series block's mutex briefly.
+// dirEntryBytes is what one metric costs a directory: its name's string
+// header, its type byte and its slot in the name index (key header, value
+// and the map's own bookkeeping at its usual load). The name bytes
+// themselves belong to the set's schema.
+const dirEntryBytes = 16 + 1 + 48
+
+// Stats returns the window's counters. Points and Bytes take each set
+// block's mutex briefly; Bytes counts every timestamp column, value
+// matrix and sealed buffer, and each shared directory once.
 func (w *Window) Stats() WindowStats {
 	st := WindowStats{
 		Observed:   w.observed.Load(),
@@ -492,21 +575,21 @@ func (w *Window) Stats() WindowStats {
 	}
 	for _, ss := range w.blocks() {
 		st.SeriesSets++
+		st.Series += ss.head.card
 		ss.mu.Lock()
-		if ss.cs != nil {
-			st.Series += len(ss.cs)
-			for i := range ss.cs {
-				st.Points += int64(ss.cs[i].count())
-				st.Bytes += int64(ss.cs[i].bytes())
-			}
-		} else {
-			st.Series += len(ss.rings)
-			for i := range ss.rings {
-				st.Points += int64(ss.rings[i].n)
-				st.Bytes += int64(len(ss.rings[i].pts) * 16)
-			}
+		retained := ss.head.n
+		st.Bytes += int64(8 * (len(ss.head.ts) + len(ss.head.vals)))
+		if ss.sealed != nil {
+			retained = ss.sealed.n*blockPoints + ss.sealed.pending
+			st.Bytes += int64(ss.sealed.bytes())
 		}
 		ss.mu.Unlock()
+		st.Points += int64(retained * ss.head.card)
 	}
+	w.dirMu.Lock()
+	for _, d := range w.dirs {
+		st.Bytes += int64(len(d.names) * dirEntryBytes)
+	}
+	w.dirMu.Unlock()
 	return st
 }

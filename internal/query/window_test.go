@@ -469,3 +469,173 @@ func TestWindowConcurrentAggregate(t *testing.T) {
 		})
 	}
 }
+
+// wideSet builds a consistent set of card u64 metrics m000..; every set
+// gets a Schema object of its own, as every mirror does.
+func wideSet(t testing.TB, instance string, card int) *metric.Set {
+	t.Helper()
+	sch := metric.NewSchema("wide")
+	for m := 0; m < card; m++ {
+		sch.MustAddMetric(fmt.Sprintf("m%03d", m), metric.TypeU64)
+	}
+	set, err := metric.New(instance, sch, metric.WithCompID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// wideSample writes sample i of a steady 1 s cadence into every metric.
+func wideSample(set *metric.Set, i int) {
+	set.BeginTransaction()
+	for m := 0; m < set.Card(); m++ {
+		set.SetU64(m, uint64(i%97*(m+1))) // not SetValues: its closure would be the test's only allocation
+	}
+	set.EndTransaction(time.Unix(1_700_000_000+int64(i), 0))
+}
+
+// TestObserveAllocs is the append gate: once a set's block exists (and, in
+// compressed mode, every sealed buffer has been through one generation) an
+// Observe allocates nothing — not per sample and not per seal, which is
+// why a run is a whole block's worth of samples.
+func TestObserveAllocs(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		w := NewWindowOpts(WindowOptions{Points: 256, Compress: compress})
+		set := wideSet(t, "n1/wide", 16)
+		i := 0
+		for ; i < 4*256; i++ {
+			wideSample(set, i)
+			w.Observe(set)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for k := 0; k < blockPoints; k++ {
+				wideSample(set, i)
+				w.Observe(set)
+				i++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("compress=%v: %v allocs per %d observed samples, want 0", compress, allocs, blockPoints)
+		}
+		if st := w.Stats(); st.Observed != int64(i) {
+			t.Errorf("compress=%v: observed %d of %d samples", compress, st.Observed, i)
+		}
+	}
+}
+
+// TestWindowStatsBytes pins the footprint the set block is for: 8 bytes of
+// matrix per point, one timestamp per sample shared by the whole set, and
+// one directory per schema shared by the whole fleet — against 16 bytes a
+// point when every metric kept (timestamp, value) pairs of its own. By
+// arithmetic that is 8 + 8/card plus the directory's share, so the bound
+// tightens with card: 8.5 B/point from 18 metrics up (ldmsd_self's card).
+func TestWindowStatsBytes(t *testing.T) {
+	const fleet = 32
+	for _, tc := range []struct {
+		card, points int
+		bound        float64
+	}{
+		{16, 64, 8.55}, {18, 64, 8.5}, {64, 64, 8.2}, {512, 64, 8.1}, {18, 1024, 8.5}, {64, 1024, 8.2},
+	} {
+		w := NewWindowOpts(WindowOptions{Points: tc.points})
+		for p := 0; p < fleet; p++ {
+			set := wideSet(t, fmt.Sprintf("n%02d/wide", p), tc.card)
+			wideSample(set, 0)
+			w.Observe(set)
+		}
+		st := w.Stats()
+		if st.SeriesSets != fleet || st.Series != fleet*tc.card {
+			t.Fatalf("card %d: stats %+v", tc.card, st)
+		}
+		perPoint := float64(st.Bytes) / float64(st.Series*tc.points)
+		if perPoint > tc.bound || perPoint < 8 {
+			t.Errorf("card %d, %d points: %.3f B/point, want within [8, %.2f]", tc.card, tc.points, perPoint, tc.bound)
+		}
+		// The fleet shares one directory, and Bytes counts it once.
+		one := NewWindowOpts(WindowOptions{Points: tc.points})
+		set := wideSet(t, "n00/wide", tc.card)
+		wideSample(set, 0)
+		one.Observe(set)
+		storage := int64(8 * tc.points * (tc.card + 1))
+		dir := one.Stats().Bytes - storage
+		if dir <= 0 || st.Bytes != fleet*storage+dir {
+			t.Errorf("card %d: fleet of %d reports %d B, want %d x %d storage + one %d B directory",
+				tc.card, fleet, st.Bytes, fleet, storage, dir)
+		}
+	}
+}
+
+// TestWindowSharedDirectory pins what sets share and when it is let go:
+// same schema name and metric list, one directory; a different list under
+// the same schema name, its own; the last Forget frees it.
+func TestWindowSharedDirectory(t *testing.T) {
+	w := NewWindow(8, time.Hour)
+	dirs := func() int {
+		w.dirMu.Lock()
+		defer w.dirMu.Unlock()
+		return len(w.dirs)
+	}
+	for i, card := range []int{4, 4, 4, 5} {
+		set := wideSet(t, fmt.Sprintf("n%d/wide", i), card)
+		wideSample(set, 0)
+		w.Observe(set)
+	}
+	if got := dirs(); got != 2 {
+		t.Fatalf("%d directories for two metric lists", got)
+	}
+	if got := w.Latest("m003", 0); len(got) != 4 {
+		t.Fatalf("m003 served by %d of 4 sets", len(got))
+	}
+	if got := w.Latest("m004", 0); len(got) != 1 || got[0].Instance != "n3/wide" {
+		t.Fatalf("m004 = %+v, want only the 5-metric set", got)
+	}
+	w.Forget("n3/wide")
+	w.Forget("n3/wide") // forgetting twice must not release twice
+	w.Forget("n0/wide")
+	if got := dirs(); got != 1 {
+		t.Fatalf("%d directories after the 5-metric set left", got)
+	}
+	if names := w.MetricNames(); len(names) != 4 {
+		t.Fatalf("MetricNames = %v after the 5-metric set left", names)
+	}
+	w.Forget("n1/wide")
+	w.Forget("n2/wide")
+	if got := dirs(); got != 0 {
+		t.Fatalf("%d directories in an empty window", got)
+	}
+}
+
+// TestWindowLayoutChange pins what happens when a name comes back with a
+// Schema object of its own (a rebuilt mirror): the same metric list
+// continues the series, another list starts over — values are never
+// served under a name they were not sampled for.
+func TestWindowLayoutChange(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		w := NewWindowOpts(WindowOptions{Points: 8, Retention: time.Hour, Compress: compress})
+		w.SetClock(func() time.Time { return time.Unix(1_700_000_100, 0) })
+		first := wideSet(t, "n1/wide", 4)
+		wideSample(first, 1)
+		w.Observe(first)
+		rebuilt := wideSet(t, "n1/wide", 4)
+		wideSample(rebuilt, 0) // so its DGN is not the one the window saw last
+		wideSample(rebuilt, 2)
+		w.Observe(rebuilt)
+		got := w.Query("m003", 0, time.Unix(0, 0))
+		if len(got) != 1 || len(got[0].Points) != 2 {
+			t.Fatalf("compress=%v: rebuilt mirror with the same list: %+v, want one series of 2 points", compress, got)
+		}
+		wider := wideSet(t, "n1/wide", 6)
+		wideSample(wider, 3)
+		w.Observe(wider)
+		got = w.Query("m003", 0, time.Unix(0, 0))
+		if len(got) != 1 || len(got[0].Points) != 1 || got[0].Points[0].Value.U64() != 3*4 {
+			t.Fatalf("compress=%v: after a layout change m003 = %+v, want only the new set's sample", compress, got)
+		}
+		if got := w.Latest("m005", 0); len(got) != 1 || got[0].Points[0].Value.U64() != 3*6 {
+			t.Fatalf("compress=%v: new metric m005 = %+v", compress, got)
+		}
+		if st := w.Stats(); st.SeriesSets != 1 || st.Series != 6 {
+			t.Fatalf("compress=%v: stats %+v, want one 6-metric set", compress, st)
+		}
+	}
+}
