@@ -135,10 +135,12 @@ func TestObsJournalReconnectCycle(t *testing.T) {
 		}
 	}
 
-	// Each connection epoch triggered one aggregate lookup event.
+	// Each connection epoch triggered one aggregate lookup event, which
+	// also says how long the lookups took (nothing, on a virtual clock) and
+	// that both sets were pulled and stored before the pass ended.
 	lookups := 0
 	for _, ev := range j.Query(0, obs.SevInfo, obs.CompUpdater, "n1") {
-		if strings.Contains(ev.Message, "looked up 2 sets") {
+		if ev.Message == "u1 looked up 2 sets in 0s, 2 first samples in the same pass" {
 			lookups++
 		}
 	}

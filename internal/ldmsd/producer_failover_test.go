@@ -73,8 +73,8 @@ func TestStandbyProducerFailoverCycle(t *testing.T) {
 		t.Fatalf("counters after connect = %+v", c)
 	}
 
-	// Failover: activate and verify pulls start (pass 1 looks up, pass 2
-	// pulls data).
+	// Failover: activate and verify pulls start (the first pass after the
+	// activation looks up and pulls).
 	p.Activate()
 	sch.AdvanceBy(3 * time.Second)
 	if got := len(agg.Registry().Dir()); got != 2 {

@@ -110,10 +110,10 @@ func BenchmarkTierFanIn(b *testing.B) {
 				defer mid.Stop()
 
 				tick := int64(2000)
-				u.run(time.Now()) // lookups
-				u.run(time.Now()) // first pulls
-				if got := int(u.updates.Load()); got != nsets {
-					b.Fatalf("warmup pulled %d sets, want %d", got, nsets)
+				u.run(time.Now()) // lookups and first (full-chunk) pulls
+				u.run(time.Now()) // first acknowledged pulls
+				if got := int(u.updates.Load()); got != 2*nsets {
+					b.Fatalf("warmup made %d pulls, want %d", got, 2*nsets)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -148,10 +148,10 @@ func BenchmarkTierFanIn(b *testing.B) {
 			defer top.Stop()
 
 			tick := int64(2000)
-			umid.run(time.Now()) // mid lookups
-			umid.run(time.Now()) // mid first pulls + first fold
-			utop.run(time.Now()) // top lookups (reduced sets now exist)
-			utop.run(time.Now()) // top first pulls
+			umid.run(time.Now()) // mid lookups, first pulls, first fold
+			umid.run(time.Now()) // mid first acknowledged pulls
+			utop.run(time.Now()) // top lookups (reduced sets now exist) and first pulls
+			utop.run(time.Now()) // top first acknowledged pulls
 			if got := top.Registry().Dir(); len(got) != 4 {
 				b.Fatalf("top sees %d reduced sets, want 4: %v", len(got), got)
 			}

@@ -2,6 +2,7 @@ package ldmsd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -99,8 +100,9 @@ type updProducerState struct {
 	dirGen  uint64
 	haveGen bool
 	// Scratch reused across passes by this producer's pull goroutine.
-	due []*updSet
-	ops []transport.UpdateOp
+	due  []*updSet
+	ops  []transport.UpdateOp
+	lops []transport.LookupOp
 }
 
 // prdcrPullHealth is one producer's pull health as seen by this updater.
@@ -450,9 +452,8 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 	} else if changed {
 		names = fresh
 	}
-	failed := false
-	looked := 0
 	due := ps.due[:0]
+	var need []*updSet // matched sets without a lookup handle
 	for _, sn := range names {
 		us := ps.sets[sn]
 		if us == nil {
@@ -463,27 +464,26 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 			continue
 		}
 		if us.remote == nil {
-			if !u.lookupSet(conn, us) {
-				failed = true
-				break
-			}
-			if us.remote != nil {
-				looked++
-			}
-			// Data update happens on the next pass (paper Fig. 2 flow).
+			need = append(need, us)
 			continue
 		}
 		due = append(due, us)
 	}
-	ps.due = due
-	if looked > 0 {
-		// One aggregate event per producer pass: per-set events would flush
-		// the whole journal ring on a large initial directory.
-		u.d.journal.Appendf(obs.SevInfo, obs.CompUpdater, name, epoch,
-			"%s looked up %d sets", u.name, looked)
-	}
-
+	// A set's first sample arrives in the pass that looks it up: the sets
+	// that get a handle now join due behind the known ones and are pulled
+	// with them below (a full chunk; finishLookup cleared bufValid).
+	known := len(due)
 	batch := u.batchSize()
+	failed := false
+	var lookupTook time.Duration
+	if len(need) > 0 {
+		start := u.d.sch.Now()
+		due, failed = u.lookupSets(conn, ps, need, due, batch)
+		lookupTook = u.d.sch.Now().Sub(start)
+	}
+	ps.due = due
+
+	first := 0 // looked-up sets whose first sample this pass stored
 	for lo := 0; lo < len(due) && !failed; lo += batch {
 		hi := min(lo+batch, len(due))
 		ops := ps.ops[:0]
@@ -503,16 +503,56 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 		cancel()
 		for i, us := range due[lo:hi] {
 			us.trace = ops[i].Trace
-			if !u.finishUpdate(us, ops[i].N, ops[i].Err) {
+			ok, stored := u.finishUpdate(us, ops[i].N, ops[i].Err)
+			if !ok {
 				failed = true
 				break
 			}
+			if stored && lo+i >= known {
+				first++
+			}
 		}
+	}
+	if looked := len(due) - known; looked > 0 {
+		// One aggregate event per producer pass: per-set events would flush
+		// the whole journal ring on a large initial directory. It carries what
+		// answers "why was the first row late": how long the lookups took and
+		// how many of the sets had a sample to store in this same pass.
+		u.d.journal.Appendf(obs.SevInfo, obs.CompUpdater, name, epoch,
+			"%s looked up %d sets in %s, %d first samples in the same pass",
+			u.name, looked, lookupTook.Round(time.Microsecond), first)
 	}
 	if failed {
 		p.disconnected(epoch)
 	}
 	u.recordHealth(name, !failed)
+}
+
+// lookupSets looks up need in pipelined batches and appends the sets that
+// got a handle to due (a set gone from the peer, or one there is no room to
+// mirror, is left for a later pass). failed reports a connection-level
+// failure.
+func (u *Updater) lookupSets(conn transport.Conn, ps *updProducerState, need, due []*updSet, batch int) (_ []*updSet, failed bool) {
+	for lo := 0; lo < len(need); lo += batch {
+		chunk := need[lo:min(lo+batch, len(need))]
+		lops := ps.lops[:0]
+		for _, us := range chunk {
+			lops = append(lops, transport.LookupOp{Name: us.name})
+		}
+		ps.lops = lops
+		ctx, cancel := u.ctx()
+		transport.LookupAll(ctx, conn, lops)
+		cancel()
+		for i, us := range chunk {
+			if !u.finishLookup(us, lops[i].Set, lops[i].Err) {
+				return due, true
+			}
+			if us.remote != nil {
+				due = append(due, us)
+			}
+		}
+	}
+	return due, false
 }
 
 // refreshDir re-fetches the producer's directory when its registry
@@ -739,18 +779,14 @@ func (u *Updater) ctx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), u.timeout)
 }
 
-// lookupSet performs the one-time metadata fetch and mirror creation for a
-// set. It reports false on a connection-level failure.
-func (u *Updater) lookupSet(conn transport.Conn, us *updSet) bool {
-	ctx, cancel := u.ctx()
-	defer cancel()
-	remote, err := conn.Lookup(ctx, us.name)
+// finishLookup applies one completed lookup: the one-time mirror creation
+// and registration for a set. It reports false on a connection-level
+// failure.
+func (u *Updater) finishLookup(us *updSet, remote transport.RemoteSet, err error) bool {
 	if err != nil {
 		u.errors.Add(1)
-		if err == transport.ErrNoSuchSet {
-			return true // set went away; not a connection failure
-		}
-		return false
+		// A set that went away is not a connection failure.
+		return errors.Is(err, transport.ErrNoSuchSet)
 	}
 	u.lookups.Add(1)
 
@@ -810,16 +846,17 @@ func (u *Updater) lookupSet(conn transport.Conn, us *updSet) bool {
 }
 
 // finishUpdate applies one completed data pull: fresh consistent data goes
-// to storage, stale or torn samples are counted and skipped. It reports
-// false on a connection-level failure. This is the pull inner loop, run
-// once per set per pass.
+// to storage, stale or torn samples are counted and skipped. ok is false on
+// a connection-level failure; stored reports that the sample was fresh and
+// went to the window and stores. This is the pull inner loop, run once per
+// set per pass.
 //
 //ldms:hotpath
-func (u *Updater) finishUpdate(us *updSet, n int, err error) bool {
+func (u *Updater) finishUpdate(us *updSet, n int, err error) (ok, stored bool) {
 	if err != nil {
 		us.bufValid = false
 		u.errors.Add(1)
-		return false
+		return false, false
 	}
 	u.updates.Add(1)
 	if err := us.mirror.LoadData(us.buf[:n]); err != nil {
@@ -828,7 +865,7 @@ func (u *Updater) finishUpdate(us *updSet, n int, err error) bool {
 		us.remote = nil
 		us.bufValid = false
 		u.errors.Add(1)
-		return true
+		return true, false
 	}
 	dgn := us.mirror.DGN()
 	// buf now holds a truthful remote snapshot at dgn — even a torn or stale
@@ -838,11 +875,11 @@ func (u *Updater) finishUpdate(us *updSet, n int, err error) bool {
 	// incomplete does not result in a write to storage."
 	if !us.mirror.Consistent() {
 		u.inconsistent.Add(1)
-		return true
+		return true, false
 	}
 	if us.haveDGN && dgn == us.lastDGN {
 		u.stale.Add(1)
-		return true
+		return true, false
 	}
 	us.lastDGN = dgn
 	us.haveDGN = true
@@ -868,5 +905,5 @@ func (u *Updater) finishUpdate(us *updSet, n int, err error) bool {
 	// backend cannot inflate pull-pass latency (the store pool drains the
 	// queues asynchronously).
 	u.d.storeSet(us.mirror)
-	return true
+	return true, true
 }

@@ -109,11 +109,12 @@ func BenchmarkUpdaterFanIn(b *testing.B) {
 					return true
 				}, "producers to connect")
 
-				// Warm up: pass 1 performs lookups, pass 2 the first pulls.
+				// Warm up: pass 1 looks every set up and pulls its full chunk,
+				// pass 2 is the first to pull against an acknowledged DGN.
 				u.run(time.Now())
 				u.run(time.Now())
-				if got := int(u.updates.Load()); got != nsets {
-					b.Fatalf("warmup pulled %d sets, want %d", got, nsets)
+				if got := int(u.updates.Load()); got != 2*nsets {
+					b.Fatalf("warmup made %d pulls, want %d", got, 2*nsets)
 				}
 
 				if slowStore {

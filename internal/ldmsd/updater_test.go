@@ -102,9 +102,9 @@ func TestStalledProducerDoesNotBlockOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pass 1 performs the lookups; pass 2 starts the data pulls and the
-	// slow producer hangs. The fast producer's pulls must land while the
-	// pass is still open.
+	// Pass 1 performs the lookups and goes straight on to the data pulls,
+	// where the slow producer hangs. The fast producer's pulls must land
+	// while the pass is still open.
 	waitUntil(t, 5*time.Second, func() bool { return stalled.Load() }, "slow producer to stall")
 	passesAtStall := u.passes.Load()
 	waitUntil(t, 5*time.Second, func() bool { return u.updates.Load() >= 2 }, "fast producer updates during the stall")

@@ -64,6 +64,10 @@ func (s *Set) AppendDelta(dst []byte, sinceDGN uint64) (out []byte, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	full := len(s.data)
+	if full == 0 {
+		// Deleted under a peer that still holds a handle: no base to diff.
+		return dst, false
+	}
 	if sinceDGN > le.Uint64(s.data[offDGN:]) {
 		return dst, false
 	}

@@ -173,8 +173,10 @@ func (s *Set) MetaBytes() []byte {
 func (s *Set) MetaSize() int { return len(s.meta) }
 
 // DataSize returns the data chunk size in bytes. Only this many bytes move
-// per aggregation pull after the initial lookup.
-func (s *Set) DataSize() int { return len(s.data) }
+// per aggregation pull after the initial lookup. It is the schema's size, so
+// a transport still holding a handle to a set that was just deleted may ask
+// without racing Delete; the copy that follows then moves nothing.
+func (s *Set) DataSize() int { return s.schema.DataSize() }
 
 // MGN returns the metadata generation number.
 func (s *Set) MGN() uint64 {

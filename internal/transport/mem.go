@@ -32,8 +32,9 @@ type MemFactory struct {
 	// Delay, when set, is invoked on connections dialed by this factory
 	// before each client operation, with the dialed address and the
 	// operation name: "dir", "lookup", "update", or — once per pipelined
-	// batch, however many ops it carries — "update_batch". Tests use it to
-	// model round-trip latency or to stall a chosen peer.
+	// batch, however many ops it carries — "lookup_batch" and
+	// "update_batch". Tests use it to model round-trip latency or to stall a
+	// chosen peer.
 	Delay func(addr, op string)
 	// NoDelta disables the delta update path, modeling a legacy peer:
 	// batched ops always move full chunks regardless of acknowledged DGNs.
@@ -197,6 +198,12 @@ func (c *memConn) Lookup(ctx context.Context, name string) (RemoteSet, error) {
 		return nil, err
 	}
 	c.pause("lookup")
+	return c.lookup(name)
+}
+
+// lookup fetches one set's metadata without re-checking or delaying; batch
+// lookups pay the connection check and Delay once for the whole batch.
+func (c *memConn) lookup(name string) (RemoteSet, error) {
 	c.countOut(len(name))
 	set, metaBytes, err := c.l.srv.serveLookup(name)
 	if err != nil {
@@ -208,6 +215,24 @@ func (c *memConn) Lookup(ctx context.Context, name string) (RemoteSet, error) {
 		return nil, err
 	}
 	return &memRemoteSet{conn: c, set: set, meta: meta}, nil
+}
+
+// LookupBatch implements Conn: one connection check and one Delay
+// invocation ("lookup_batch") cover the whole batch, mirroring how the sock
+// transport's pipelined lookups share a single round trip on the wire.
+func (c *memConn) LookupBatch(ctx context.Context, ops []LookupOp) {
+	err := c.check(ctx)
+	if err == nil {
+		c.pause("lookup_batch")
+		err = c.check(ctx)
+	}
+	for i := range ops {
+		if err != nil {
+			ops[i].Set, ops[i].Err = nil, err
+			continue
+		}
+		ops[i].Set, ops[i].Err = c.lookup(ops[i].Name)
+	}
 }
 
 // Close implements Conn.

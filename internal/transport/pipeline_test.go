@@ -166,6 +166,38 @@ func TestSockUpdateBatchMidBatchError(t *testing.T) {
 	}
 }
 
+// TestUpdateBatchAllocs: a steady-state pipelined batch makes neither a
+// response channel nor a handle slice of its own. What is left per batch is
+// the frame header each of the four frame reads and writes per op moves
+// through an io interface, on this process's two connection halves.
+func TestUpdateBatchAllocs(t *testing.T) {
+	reg := newTestRegistry(t, 8)
+	ln, err := SockFactory{}.Listen("127.0.0.1:0", NewServer(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := SockFactory{}.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	ops := lookupAll(t, conn, reg.Dir())
+	UpdateAll(ctx, conn, ops) // warm the pools and the spare channel
+	perBatch := testing.AllocsPerRun(200, func() { UpdateAll(ctx, conn, ops) })
+	if limit := float64(4 * len(ops)); perBatch > limit {
+		t.Errorf("UpdateBatch of %d ops: %.1f allocs, want <= %.0f (frame headers only)", len(ops), perBatch, limit)
+	}
+	sc := conn.(*sockConn)
+	sc.mu.Lock()
+	spare := sc.spare
+	sc.mu.Unlock()
+	if cap(spare) < len(ops) {
+		t.Errorf("no response channel kept between batches (cap %d)", cap(spare))
+	}
+}
+
 // TestMemUpdateBatchDelayOnce checks the mem transport charges its Delay
 // hook once per pipelined batch, not once per op.
 func TestMemUpdateBatchDelayOnce(t *testing.T) {

@@ -137,9 +137,11 @@ func (s *Server) serveUpdateDelta(set *metric.Set, since uint64, dst []byte) []b
 		out[0] = deltaKindDelta
 		s.deltaUpdates.Add(1)
 	} else {
-		out = dst[:1+set.DataSize()]
+		// Sized by what was copied: a set deleted under the requester's
+		// handle yields an empty chunk, which its LoadData refuses, rather
+		// than whatever the pooled buffer held.
+		out = dst[:1+set.CopyDataInto(dst[1:1+set.DataSize()])]
 		out[0] = deltaKindFull
-		set.CopyDataInto(out[1:])
 	}
 	s.updates.Add(1)
 	s.bytesOut.Add(int64(len(out) - 1))

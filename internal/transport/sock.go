@@ -227,6 +227,11 @@ type sockConn struct {
 	wait   map[uint64]chan sockResp
 	closed bool
 	err    error
+	// spare is the response channel of the last batch that received every
+	// response: nothing can still deliver into it, so the next batch takes it
+	// instead of making one. Two updaters sharing the connection race for
+	// it and the loser makes its own.
+	spare chan sockResp
 
 	// Server half. handles is allocated on first served lookup: the
 	// aggregator side of a 10k-producer fan-in never serves lookups on
@@ -253,12 +258,13 @@ type sockResp struct {
 }
 
 // errUnresolved marks batch ops whose response has not arrived yet; it
-// never escapes UpdateBatch.
-var errUnresolved = errors.New("transport: update response pending")
+// never escapes UpdateBatch or LookupBatch.
+var errUnresolved = errors.New("transport: response pending")
 
 var (
-	errShortDeltaResp = errors.New("transport: short delta update response")
-	errBadDeltaResp   = errors.New("transport: bad delta update response kind")
+	errShortDeltaResp  = errors.New("transport: short delta update response")
+	errBadDeltaResp    = errors.New("transport: bad delta update response kind")
+	errShortLookupResp = errors.New("transport: short lookup response")
 )
 
 func newSockConn(c net.Conn, srv *Server, cfg sockCfg) *sockConn {
@@ -315,30 +321,80 @@ func (sc *sockConn) traceEnabled() bool {
 	return sc.localCaps&capTrace != 0 && sc.peerCaps.Load()&capTrace != 0
 }
 
-// send writes one frame under the write lock and flushes, compressing the
-// payload when the capability is negotiated and compression wins.
-func (sc *sockConn) send(typ byte, id uint64, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	out := payload
+// writeLocked writes one frame into the connection's buffered writer,
+// compressing the payload when the capability is negotiated and compression
+// wins. Caller holds wmu and decides when to flush.
+func (sc *sockConn) writeLocked(typ byte, id uint64, payload []byte) error {
 	if sc.compressEnabled() {
 		if cp, ok := sc.defl.compress(payload); ok {
 			typ |= compressFlag
-			out = cp
+			payload = cp
 		}
 	}
-	if err := writeFrame(sc.w, typ, id, out); err != nil {
+	if err := writeFrame(sc.w, typ, id, payload); err != nil {
 		return err
 	}
-	sc.countOut(frameHeader + len(out))
+	sc.countOut(frameHeader + len(payload))
+	return nil
+}
+
+// send writes one client-half frame and flushes. The flush also carries out
+// any responses the serving half has corked (they share the writer).
+func (sc *sockConn) send(typ byte, id uint64, payload []byte) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if err := sc.writeLocked(typ, id, payload); err != nil {
+		return err
+	}
 	return sc.w.Flush()
+}
+
+// reply writes one serving-half response and leaves it in the buffered
+// writer: readLoop flushes once it has no further whole request in hand.
+func (sc *sockConn) reply(typ byte, id uint64, payload []byte) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	return sc.writeLocked(typ, id, payload)
+}
+
+// flush pushes buffered output to the socket.
+func (sc *sockConn) flush() error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	return sc.w.Flush()
+}
+
+// frameBuffered reports whether r already holds one whole frame, so that
+// reading it cannot block. A frame larger than the read buffer never
+// qualifies, which only costs it the cork.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < frameHeader {
+		return false
+	}
+	//ldms:errok Peek of no more than Buffered() bytes cannot fail
+	hdr, _ := r.Peek(frameHeader)
+	return uint64(r.Buffered()) >= frameHeader+uint64(wireLE.Uint32(hdr))
 }
 
 // readLoop dispatches incoming frames: requests to the server half,
 // responses to waiting callers.
+//
+// Responses are corked: while another whole frame is already buffered, the
+// serving half's answers pile up in the buffered writer, so a burst of N
+// pipelined requests costs ~N/30 write(2) calls instead of N. The rule that
+// keeps this safe is "never block on read with unflushed output" — the
+// peer may be waiting for exactly those responses before it sends more.
 func (sc *sockConn) readLoop() {
 	r := bufio.NewReaderSize(sc.c, sc.rbufSize)
+	corked := false
 	for {
+		if corked && !frameBuffered(r) {
+			if err := sc.flush(); err != nil {
+				sc.fail(err)
+				return
+			}
+			corked = false
+		}
 		typ, id, payload, err := readFrame(r)
 		if err != nil {
 			sc.fail(err)
@@ -360,6 +416,7 @@ func (sc *sockConn) readLoop() {
 				sc.fail(err)
 				return
 			}
+			corked = true
 		default:
 			sc.mu.Lock()
 			ch := sc.wait[id]
@@ -397,12 +454,13 @@ func (sc *sockConn) registerHandle(set *metric.Set) uint32 {
 }
 
 // serveRequest handles one request from the remote peer. It must not
-// retain payload past return (readLoop recycles it).
+// retain payload past return (readLoop recycles it). Responses are left
+// unflushed for readLoop to cork.
 func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 	replyErr := func(msg string) error {
 		//ldms:errok appendString only fails on strings over maxWireString, which clipString just bounded
 		p, _ := appendString(nil, clipString(msg))
-		return sc.send(msgErrResp, id, p)
+		return sc.reply(msgErrResp, id, p)
 	}
 	if typ == msgHello {
 		name, _, err := readString(payload, 0)
@@ -429,15 +487,15 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 			if err != nil {
 				return replyErr(err.Error())
 			}
-			return sc.send(msgDirDictResp, id, b)
+			return sc.reply(msgDirDictResp, id, b)
 		}
 		b, err := encodeDirResp(names, sc.localCaps)
 		if err != nil {
 			return replyErr(err.Error())
 		}
-		return sc.send(msgDirResp, id, b)
+		return sc.reply(msgDirResp, id, b)
 	case msgDirGenReq:
-		return sc.send(msgDirGenResp, id, wireLE.AppendUint64(nil, sc.srv.serveDirGen()))
+		return sc.reply(msgDirGenResp, id, wireLE.AppendUint64(nil, sc.srv.serveDirGen()))
 	case msgLookupReq, msgLookupDictReq:
 		var name string
 		if typ == msgLookupDictReq {
@@ -462,7 +520,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		}
 		resp := wireLE.AppendUint32(nil, sc.registerHandle(set))
 		resp = append(resp, meta...)
-		return sc.send(msgLookupResp, id, resp)
+		return sc.reply(msgLookupResp, id, resp)
 	case msgUpdateReq:
 		if len(payload) < 4 {
 			return replyErr("transport: short update request")
@@ -475,7 +533,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		if !sc.traceEnabled() {
 			buf := getBuf(ds)
 			n := sc.srv.serveUpdate(set, buf)
-			err := sc.send(msgUpdateResp, id, buf[:n])
+			err := sc.reply(msgUpdateResp, id, buf[:n])
 			putBuf(buf)
 			return err
 		}
@@ -485,7 +543,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		off := len(b)
 		b = growTo(b, off+ds)
 		n := sc.srv.serveUpdate(set, b[off:])
-		err := sc.send(msgUpdateResp, id, b[:off+n])
+		err := sc.reply(msgUpdateResp, id, b[:off+n])
 		putBuf(b)
 		return err
 	case msgDeltaUpdateReq:
@@ -503,7 +561,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 			// than it, so serveUpdateDelta never reallocates.
 			buf := getBuf(1 + ds + 64)
 			out := sc.srv.serveUpdateDelta(set, since, buf)
-			err := sc.send(msgDeltaUpdateResp, id, out)
+			err := sc.reply(msgDeltaUpdateResp, id, out)
 			putBuf(buf)
 			return err
 		}
@@ -512,7 +570,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		off := len(b)
 		b = growTo(b, off+1+ds+64)
 		out := sc.srv.serveUpdateDelta(set, since, b[off:])
-		err := sc.send(msgDeltaUpdateResp, id, b[:off+len(out)])
+		err := sc.reply(msgDeltaUpdateResp, id, b[:off+len(out)])
 		putBuf(b)
 		return err
 	}
@@ -542,6 +600,11 @@ func (sc *sockConn) fail(err error) {
 func (sc *sockConn) register(n int, ch chan sockResp) (uint64, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	return sc.registerLocked(n, ch)
+}
+
+// registerLocked is register for callers that hold mu.
+func (sc *sockConn) registerLocked(n int, ch chan sockResp) (uint64, error) {
 	if sc.closed || sc.err != nil {
 		err := sc.err
 		if err == nil {
@@ -564,6 +627,58 @@ func (sc *sockConn) deregister(first uint64, n int) {
 		delete(sc.wait, first+uint64(i))
 	}
 	sc.mu.Unlock()
+}
+
+// pipeline runs one batch of n requests: it registers n contiguous request
+// IDs on one response channel (the connection's spare one when that is free
+// and large enough), has write send the frames under IDs first, first+1, …,
+// then hands each response to resolve — which reports whether it settled one
+// of the batch's ops — until all n have. It returns nil then, and otherwise the
+// error (registration, write, or ctx ending) the unsettled ops should carry.
+func (sc *sockConn) pipeline(ctx context.Context, n int, write func(first uint64) error, resolve func(first uint64, r sockResp) bool) error {
+	sc.mu.Lock()
+	ch := sc.spare
+	sc.spare = nil
+	if cap(ch) < n {
+		ch = make(chan sockResp, n)
+	}
+	first, err := sc.registerLocked(n, ch)
+	sc.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = write(first)
+	for pending := n; err == nil && pending > 0; {
+		select {
+		case r := <-ch:
+			if resolve(first, r) {
+				pending--
+			}
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if err == nil {
+		// Every ID was delivered, and delivery removes it from wait first:
+		// the channel is empty and nothing refers to it.
+		sc.mu.Lock()
+		sc.spare = ch
+		sc.mu.Unlock()
+		return nil
+	}
+	// Give up on the outstanding IDs, then drain what was already delivered
+	// so responses that raced the decision still land. The channel is not
+	// kept: readLoop may have picked it up for one last delivery just before
+	// the IDs went.
+	sc.deregister(first, n)
+	for {
+		select {
+		case r := <-ch:
+			resolve(first, r)
+		default:
+			return err
+		}
+	}
 }
 
 // respError decodes an error response payload (recycling it) and maps
@@ -652,40 +767,109 @@ func (sc *sockConn) DirGen(ctx context.Context) (uint64, error) {
 	return gen, nil
 }
 
-// Lookup implements Conn. Names the peer's dictionary already defined go
-// over the wire as a bare u32 id.
+// Lookup implements Conn: a batch of one.
 func (sc *sockConn) Lookup(ctx context.Context, name string) (RemoteSet, error) {
-	typ := byte(msgLookupReq)
-	var req []byte
+	op := [1]LookupOp{{Name: name}}
+	sc.LookupBatch(ctx, op[:])
+	return op[0].Set, op[0].Err
+}
+
+// appendLookupReq encodes the lookup request for name onto dst. Names the
+// peer's dictionary already defined go over the wire as a bare u32 id.
+func (sc *sockConn) appendLookupReq(dst []byte, name string) (byte, []byte, error) {
 	if sc.dictEnabled() {
 		sc.dmu.Lock()
 		id, ok := sc.rdict.ids[name]
 		sc.dmu.Unlock()
 		if ok {
-			typ = msgLookupDictReq
-			req = wireLE.AppendUint32(nil, id)
+			return msgLookupDictReq, wireLE.AppendUint32(dst, id), nil
 		}
 	}
-	if req == nil {
-		var err error
-		if req, err = appendString(nil, name); err != nil {
-			return nil, err
+	req, err := appendString(dst, name)
+	return msgLookupReq, req, err
+}
+
+// LookupBatch implements Conn: like UpdateBatch, every request frame goes
+// out under one write-lock hold with a single flush and the responses are
+// awaited together. A name the peer does not serve resolves that op to
+// ErrNoSuchSet; the others are unaffected.
+func (sc *sockConn) LookupBatch(ctx context.Context, ops []LookupOp) {
+	for i := range ops {
+		if len(ops[i].Name) > maxWireString {
+			// No frame can carry this name: settle it here and pipeline the
+			// ops on either side of it.
+			ops[i].Set, ops[i].Err = nil, errStringTooLong
+			sc.LookupBatch(ctx, ops[:i])
+			sc.LookupBatch(ctx, ops[i+1:])
+			return
+		}
+		ops[i].Set, ops[i].Err = nil, errUnresolved
+	}
+	if len(ops) == 0 {
+		return
+	}
+	err := sc.pipeline(ctx, len(ops),
+		func(first uint64) error { return sc.writeLookups(ops, first) },
+		func(first uint64, r sockResp) bool { return sc.resolveLookup(ops, first, r) })
+	for i := range ops {
+		if ops[i].Err == errUnresolved {
+			ops[i].Err = err
 		}
 	}
-	resp, err := sc.roundTrip(ctx, typ, req)
+}
+
+// writeLookups writes the batch's request frames under one write-lock hold
+// and flushes once.
+func (sc *sockConn) writeLookups(ops []LookupOp, first uint64) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	for i := range ops {
+		typ, req, err := sc.appendLookupReq(sc.scratch[:0], ops[i].Name)
+		if err != nil {
+			return err
+		}
+		sc.scratch = req
+		if err := sc.writeLocked(typ, first+uint64(i), req); err != nil {
+			return err
+		}
+	}
+	return sc.w.Flush()
+}
+
+// resolveLookup applies one delivered response to its op; it reports
+// whether the response matched an unresolved op in this batch.
+func (sc *sockConn) resolveLookup(ops []LookupOp, first uint64, r sockResp) bool {
+	i := int(r.id - first)
+	if i < 0 || i >= len(ops) || ops[i].Err != errUnresolved {
+		putBuf(r.payload)
+		return false
+	}
+	switch {
+	case r.err != nil:
+		ops[i].Err = r.err
+	case r.typ == msgErrResp:
+		ops[i].Err = respError(r.payload)
+	case r.typ != msgLookupResp:
+		putBuf(r.payload)
+		ops[i].Err = fmt.Errorf("transport: lookup answered with message type %d", r.typ)
+	default:
+		ops[i].Set, ops[i].Err = sc.decodeLookupResp(r.payload)
+	}
+	return true
+}
+
+// decodeLookupResp turns a lookup response payload (u32 handle, then the
+// metadata chunk) into a handle, recycling the payload on every path.
+func (sc *sockConn) decodeLookupResp(payload []byte) (RemoteSet, error) {
+	defer putBuf(payload)
+	if len(payload) < 4 {
+		return nil, errShortLookupResp
+	}
+	meta, err := metric.ParseMeta(payload[4:])
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.payload) < 4 {
-		return nil, fmt.Errorf("transport: short lookup response")
-	}
-	handle := wireLE.Uint32(resp.payload)
-	meta, err := metric.ParseMeta(resp.payload[4:])
-	putBuf(resp.payload)
-	if err != nil {
-		return nil, err
-	}
-	return &sockRemoteSet{conn: sc, handle: handle, meta: meta}, nil
+	return &sockRemoteSet{conn: sc, handle: wireLE.Uint32(payload), meta: meta}, nil
 }
 
 // Close implements Conn.
@@ -712,77 +896,48 @@ func (sc *sockConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	if len(ops) == 0 {
 		return
 	}
-	sets := make([]*sockRemoteSet, len(ops))
 	for i := range ops {
-		rs, ok := ops[i].Set.(*sockRemoteSet)
-		if !ok || rs.conn != sc {
+		if rs, ok := ops[i].Set.(*sockRemoteSet); !ok || rs.conn != sc {
 			// Foreign handle in the batch: no pipelining across
 			// connections, fall back to per-op round trips.
 			sequentialUpdates(ctx, ops)
 			return
 		}
-		sets[i] = rs
-	}
-	ch := make(chan sockResp, len(ops))
-	first, err := sc.register(len(ops), ch)
-	if err != nil {
-		failOps(ops, err)
-		return
 	}
 	for i := range ops {
 		ops[i].N, ops[i].Err, ops[i].WasDelta = 0, errUnresolved, false
 	}
-	useDelta := sc.deltaEnabled()
+	err := sc.pipeline(ctx, len(ops),
+		func(first uint64) error { return sc.writeUpdates(ops, first) },
+		func(first uint64, r sockResp) bool { return sc.resolveOp(ops, first, r) })
+	for i := range ops {
+		if ops[i].Err == errUnresolved {
+			ops[i].Err = err
+		}
+	}
+}
 
+// writeUpdates writes the batch's request frames under one write-lock hold
+// and flushes once.
+func (sc *sockConn) writeUpdates(ops []UpdateOp, first uint64) error {
+	useDelta := sc.deltaEnabled()
+	sc.batches.Add(1)
+	sc.batchedOps.Add(int64(len(ops)))
 	sc.wmu.Lock()
-	var werr error
-	for i, rs := range sets {
+	defer sc.wmu.Unlock()
+	for i := range ops {
 		typ := byte(msgUpdateReq)
-		sc.scratch = wireLE.AppendUint32(sc.scratch[:0], rs.handle)
+		sc.scratch = wireLE.AppendUint32(sc.scratch[:0], ops[i].Set.(*sockRemoteSet).handle)
 		if useDelta && ops[i].HaveAck {
 			typ = msgDeltaUpdateReq
 			sc.scratch = wireLE.AppendUint64(sc.scratch, ops[i].AckDGN)
 		}
-		if werr = writeFrame(sc.w, typ, first+uint64(i), sc.scratch); werr != nil {
-			break
+		if err := writeFrame(sc.w, typ, first+uint64(i), sc.scratch); err != nil {
+			return err
 		}
 		sc.countOut(frameHeader + len(sc.scratch))
 	}
-	if werr == nil {
-		werr = sc.w.Flush()
-	}
-	sc.wmu.Unlock()
-	sc.batches.Add(1)
-	sc.batchedOps.Add(int64(len(ops)))
-	if werr != nil {
-		sc.deregister(first, len(ops))
-		sc.resolveDelivered(ops, first, ch)
-		for i := range ops {
-			if ops[i].Err == errUnresolved {
-				ops[i].Err = werr
-			}
-		}
-		return
-	}
-
-	pending := len(ops)
-	for pending > 0 {
-		select {
-		case r := <-ch:
-			if sc.resolveOp(ops, first, r) {
-				pending--
-			}
-		case <-ctx.Done():
-			sc.deregister(first, len(ops))
-			sc.resolveDelivered(ops, first, ch)
-			for i := range ops {
-				if ops[i].Err == errUnresolved {
-					ops[i].Err = ctx.Err()
-				}
-			}
-			return
-		}
-	}
+	return sc.w.Flush()
 }
 
 // resolveOp applies one delivered response to its op; it reports whether
@@ -859,19 +1014,6 @@ func resolveDeltaResp(op *UpdateOp, payload, owned []byte) {
 		op.N, op.Err, op.WasDelta = ds, nil, true
 	default:
 		op.Err = errBadDeltaResp
-	}
-}
-
-// resolveDelivered drains already-buffered responses after the batch gave
-// up waiting, so responses that raced the cancellation still land.
-func (sc *sockConn) resolveDelivered(ops []UpdateOp, first uint64, ch chan sockResp) {
-	for {
-		select {
-		case r := <-ch:
-			sc.resolveOp(ops, first, r)
-		default:
-			return
-		}
 	}
 }
 

@@ -42,6 +42,12 @@ type Conn interface {
 	// Lookup fetches the named set's metadata and returns a handle for
 	// subsequent updates.
 	Lookup(ctx context.Context, name string) (RemoteSet, error)
+	// LookupBatch is Lookup for many sets under one round-trip latency:
+	// every op's request is issued before any response is awaited. Each op
+	// carries its own result; a set missing on the peer is ErrNoSuchSet on
+	// that op alone, and only a connection-level failure (or ctx ending)
+	// fails the ops still pending. Callers normally go through LookupAll.
+	LookupBatch(ctx context.Context, ops []LookupOp)
 	// Close releases the connection.
 	Close() error
 }
@@ -76,6 +82,25 @@ func DirGenOf(ctx context.Context, conn Conn) (uint64, bool, error) {
 		return 0, true, err
 	}
 	return gen, true, nil
+}
+
+// LookupOp is one metadata fetch in a pipelined batch: Name is filled by the
+// caller; Set and Err carry the per-op result, exactly as Conn.Lookup would
+// return them.
+type LookupOp struct {
+	Name string
+	Set  RemoteSet
+	Err  error
+}
+
+// LookupAll looks up every op's set over conn in one pipelined batch. It
+// sits beside UpdateAll as the cold-start half of the pull path, but unlike
+// it has no per-op fallback to choose: LookupBatch is part of Conn, so a
+// transport that cannot pipeline lookups does not compile.
+func LookupAll(ctx context.Context, conn Conn, ops []LookupOp) {
+	if len(ops) > 0 {
+		conn.LookupBatch(ctx, ops)
+	}
 }
 
 // UpdateOp is one data pull in a pipelined batch: Set and Dst are filled by
