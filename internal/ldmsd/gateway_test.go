@@ -276,6 +276,9 @@ func TestGatewayEndToEnd(t *testing.T) {
 		"ldmsd_transport_batches_total",
 		"ldmsd_pool_workers",
 		"ldmsd_server_updates_total",
+		"ldmsd_server_deflate_offers_total",
+		"ldmsd_server_deflate_wins_total",
+		"ldmsd_server_host_cpu_seconds_total",
 		"ldmsd_set_memory_bytes",
 		"ldmsd_window_observed_total",
 		"ldmsd_http_requests_total",

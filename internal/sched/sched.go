@@ -149,17 +149,22 @@ func (s *Scheduler) lockedNow() time.Time {
 	return time.Now()
 }
 
-// nextFire computes the first firing time for a task created at now.
+// nextFire computes the first firing time for a task created (or found to
+// have fallen behind) at now.
 func nextFire(now time.Time, interval, offset time.Duration, synchronous bool) time.Time {
 	if !synchronous {
 		return now.Add(interval)
 	}
-	// Align to the next multiple of interval since the unix epoch, plus
-	// offset.
-	ns := now.UnixNano()
+	// The smallest k*interval + offset, counted from the unix epoch, strictly
+	// after now: a tick whose offset is still ahead in now's own interval is
+	// taken, not skipped.
 	iv := interval.Nanoseconds()
-	aligned := (ns/iv + 1) * iv
-	return time.Unix(0, aligned).Add(offset)
+	ns := now.UnixNano() - offset.Nanoseconds()
+	k := ns / iv
+	if ns%iv < 0 {
+		k-- // floor, for a phase before the epoch (virtual clocks start at 0)
+	}
+	return time.Unix(0, (k+1)*iv).Add(offset)
 }
 
 // kick wakes the real-mode dispatch loop after heap changes.

@@ -135,6 +135,56 @@ func TestVirtualSynchronousAlignment(t *testing.T) {
 	}
 }
 
+// TestVirtualSynchronousPhase: a synchronous task's first firing is the
+// smallest k*interval + offset strictly after its creation, wherever in the
+// interval it was created, and the firings after it keep the interval.
+func TestVirtualSynchronousPhase(t *testing.T) {
+	const ms = time.Millisecond
+	base := time.Unix(1000000000, 0) // a multiple of every interval below
+	for _, tc := range []struct {
+		name                    string
+		start, interval, offset time.Duration
+		first                   time.Duration // after base
+	}{
+		{"phase below offset", 801 * ms, 100 * ms, 60 * ms, 860 * ms},
+		{"phase just below offset", 860*ms - 1, 100 * ms, 60 * ms, 860 * ms},
+		{"phase on offset", 860 * ms, 100 * ms, 60 * ms, 960 * ms},
+		{"phase above offset", 861 * ms, 100 * ms, 60 * ms, 960 * ms},
+		{"on boundary, offset ahead", 800 * ms, 100 * ms, 60 * ms, 860 * ms},
+		{"no offset, off boundary", 801 * ms, 100 * ms, 0, 900 * ms},
+		{"no offset, on boundary", 800 * ms, 100 * ms, 0, 900 * ms},
+		{"offset of a whole interval and more", 801 * ms, 100 * ms, 160 * ms, 860 * ms},
+		{"negative offset", 801 * ms, 100 * ms, -40 * ms, 860 * ms},
+		{"negative offset, phase past it", 870 * ms, 100 * ms, -40 * ms, 960 * ms},
+	} {
+		s := NewVirtual(base.Add(tc.start))
+		var fired []time.Duration
+		s.Every(tc.interval, tc.offset, true, func(now time.Time) {
+			fired = append(fired, now.Sub(base))
+		})
+		s.AdvanceBy(3 * tc.interval)
+		if len(fired) < 2 || fired[0] != tc.first || fired[1] != tc.first+tc.interval {
+			t.Errorf("%s: fired at %v, want %v then every %v", tc.name, fired, tc.first, tc.interval)
+		}
+	}
+	// A virtual clock at the epoch itself: the phase is "before" the offset
+	// tick of interval zero, which must be taken.
+	s := NewVirtual(time.Unix(0, 0))
+	var first time.Time
+	s.Every(time.Minute, 2*time.Second, true, func(now time.Time) {
+		if first.IsZero() {
+			first = now
+		}
+	})
+	s.AdvanceBy(2 * time.Minute)
+	if !first.Equal(time.Unix(2, 0)) {
+		t.Errorf("from the epoch: first firing %v, want 2 s", first.Sub(time.Unix(0, 0)))
+	}
+	if got := nextFire(time.Unix(-1, 0), time.Minute, 2*time.Second, true); !got.Equal(time.Unix(2, 0)) {
+		t.Errorf("before the epoch: nextFire = %v", got.Unix())
+	}
+}
+
 func TestVirtualOneShot(t *testing.T) {
 	start := time.Unix(0, 0)
 	s := NewVirtual(start)

@@ -379,3 +379,51 @@ func benchConnScale(b *testing.B, want int, f SockFactory) {
 	b.ReportMetric(float64(totalWall.Milliseconds())/float64(b.N), "pass-ms")
 	b.ReportMetric(float64(worstP99)/float64(time.Millisecond), "p99-ms")
 }
+
+// BenchmarkServeUpdateWide pulls one 512 x u64 incompressible set (a 4 KiB
+// data chunk, the wide_churn shape) over sock loopback, one round trip per
+// op. offers/op is the share of responses the serving half handed to deflate:
+// 1 for a sender that offers every frame, about 1/256 once the set's back-off
+// has reached its cap.
+func BenchmarkServeUpdateWide(b *testing.B) {
+	reg := metric.NewRegistry()
+	set, err := metric.New("wide/incomp", wideSchema("wide"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillWide(set, 1, wideCard, false)
+	if err := reg.Add(set); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(reg)
+	ln, err := SockFactory{}.Listen("127.0.0.1:0", srv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := SockFactory{}.Dial(ln.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	if _, err := conn.Dir(ctx); err != nil { // negotiates capabilities
+		b.Fatal(err)
+	}
+	rs, err := conn.Lookup(ctx, set.Name())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := []UpdateOp{{Set: rs, Dst: make([]byte, rs.Meta().DataSize)}}
+	before := srv.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		UpdateAll(ctx, conn, ops)
+		if ops[0].Err != nil {
+			b.Fatal(ops[0].Err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(srv.Stats().DeflateOffers-before.DeflateOffers)/float64(b.N), "offers/op")
+}

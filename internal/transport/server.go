@@ -28,7 +28,9 @@ type Server struct {
 	updates      atomic.Int64
 	deltaUpdates atomic.Int64
 	bytesOut     atomic.Int64
-	hostCPU      atomic.Int64 // nanoseconds of host CPU consumed serving pulls
+	deflOffers   atomic.Int64
+	deflWins     atomic.Int64
+	hostCPU      atomic.Int64 // nanoseconds of host CPU consumed serving pulls, deflate included
 	nicCPU       atomic.Int64 // nanoseconds of one-sided (NIC-side) data movement
 }
 
@@ -42,26 +44,39 @@ func (s *Server) Registry() *metric.Registry { return s.reg }
 
 // ServerStats is a snapshot of serving-side counters.
 type ServerStats struct {
-	Dirs         int64         // dir requests served
-	Lookups      int64         // lookup requests served
-	Updates      int64         // update (data pull) requests served
-	DeltaUpdates int64         // updates answered with a metric delta
-	BytesOut     int64         // payload bytes returned
-	HostCPU      time.Duration // host CPU consumed by serving (two-sided ops)
-	NICCPU       time.Duration // simulated NIC time for one-sided reads
+	Dirs          int64         // dir requests served
+	Lookups       int64         // lookup requests served
+	Updates       int64         // update (data pull) requests served
+	DeltaUpdates  int64         // updates answered with a metric delta
+	BytesOut      int64         // payload bytes returned
+	DeflateOffers int64         // response frames offered to deflate
+	DeflateWins   int64         // offers that shrank the frame and went out compressed
+	HostCPU       time.Duration // host CPU consumed by serving (two-sided ops)
+	NICCPU        time.Duration // simulated NIC time for one-sided reads
 }
 
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Dirs:         s.dirs.Load(),
-		Lookups:      s.lookups.Load(),
-		Updates:      s.updates.Load(),
-		DeltaUpdates: s.deltaUpdates.Load(),
-		BytesOut:     s.bytesOut.Load(),
-		HostCPU:      time.Duration(s.hostCPU.Load()),
-		NICCPU:       time.Duration(s.nicCPU.Load()),
+		Dirs:          s.dirs.Load(),
+		Lookups:       s.lookups.Load(),
+		Updates:       s.updates.Load(),
+		DeltaUpdates:  s.deltaUpdates.Load(),
+		BytesOut:      s.bytesOut.Load(),
+		DeflateOffers: s.deflOffers.Load(),
+		DeflateWins:   s.deflWins.Load(),
+		HostCPU:       time.Duration(s.hostCPU.Load()),
+		NICCPU:        time.Duration(s.nicCPU.Load()),
 	}
+}
+
+// countDeflate accounts one frame offered to deflate: host CPU, won or lost.
+func (s *Server) countDeflate(won bool, d time.Duration) {
+	s.deflOffers.Add(1)
+	if won {
+		s.deflWins.Add(1)
+	}
+	s.hostCPU.Add(int64(d))
 }
 
 // serveDir implements the dir operation.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"goldms/internal/metric"
 )
@@ -233,14 +234,13 @@ type sockConn struct {
 	// it and the loser makes its own.
 	spare chan sockResp
 
-	// Server half. handles is allocated on first served lookup: the
-	// aggregator side of a 10k-producer fan-in never serves lookups on
-	// those connections and skips the map entirely.
-	srv     *Server
-	handles map[uint32]*metric.Set
-	hmu     sync.Mutex
-	nextH   uint32
-	onHello func(string, Conn)
+	// Server half, touched only by the readLoop goroutine. The handle table
+	// (indexed by handle) and its reverse index grow from the first served
+	// lookup, which the aggregator side of a 10k-producer fan-in never sees.
+	srv      *Server
+	handles  []servedSet
+	handleOf map[*metric.Set]uint32
+	onHello  func(string, Conn)
 
 	// Transfer counters for prdcr_status and /metrics (both halves of the
 	// symmetric connection share them). Byte counts are wire bytes: frames
@@ -321,12 +321,53 @@ func (sc *sockConn) traceEnabled() bool {
 	return sc.localCaps&capTrace != 0 && sc.peerCaps.Load()&capTrace != 0
 }
 
+// servedSet is one entry of the serving half's handle table: a looked-up set
+// and how deflate last fared on its update responses. A loss backs the set
+// off for 1, 2, 4 … deflateBackoffMax of its following responses of
+// compressMin bytes or more; a win returns it to "always offer".
+type servedSet struct {
+	set  *metric.Set
+	skip uint16 // responses still to go out without an offer
+	back uint16 // what the last loss set skip to; 0 after a win
+}
+
+// offer reports whether the next frame should be offered to deflate. Frames
+// that keep no state (nil: dir, lookup, requests) always are.
+func (ss *servedSet) offer() bool {
+	if ss == nil || ss.skip == 0 {
+		return true
+	}
+	ss.skip--
+	return false
+}
+
+// offered records the outcome of an offer.
+func (ss *servedSet) offered(won bool) {
+	switch {
+	case ss == nil:
+	case won:
+		ss.back = 0
+	default:
+		ss.back = min(max(2*ss.back, 1), deflateBackoffMax)
+		ss.skip = ss.back
+	}
+}
+
 // writeLocked writes one frame into the connection's buffered writer,
-// compressing the payload when the capability is negotiated and compression
+// compressing the payload when the capability is negotiated, ss (an update
+// response's set; nil for any other frame) is not backed off, and compression
 // wins. Caller holds wmu and decides when to flush.
-func (sc *sockConn) writeLocked(typ byte, id uint64, payload []byte) error {
-	if sc.compressEnabled() {
-		if cp, ok := sc.defl.compress(payload); ok {
+func (sc *sockConn) writeLocked(typ byte, id uint64, payload []byte, ss *servedSet) error {
+	if len(payload) >= compressMin && sc.compressEnabled() && ss.offer() {
+		//ldms:wallclock hostCPU accounts real serving cost (paper overhead model), not sample time
+		start := time.Now()
+		cp, won := sc.defl.compress(payload)
+		ss.offered(won)
+		if sc.srv != nil {
+			//ldms:wallclock second half of the real serving-cost measurement
+			sc.srv.countDeflate(won, time.Since(start))
+		}
+		if won {
 			typ |= compressFlag
 			payload = cp
 		}
@@ -343,18 +384,18 @@ func (sc *sockConn) writeLocked(typ byte, id uint64, payload []byte) error {
 func (sc *sockConn) send(typ byte, id uint64, payload []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	if err := sc.writeLocked(typ, id, payload); err != nil {
+	if err := sc.writeLocked(typ, id, payload, nil); err != nil {
 		return err
 	}
 	return sc.w.Flush()
 }
 
-// reply writes one serving-half response and leaves it in the buffered
-// writer: readLoop flushes once it has no further whole request in hand.
-func (sc *sockConn) reply(typ byte, id uint64, payload []byte) error {
+// reply writes one serving-half response (ss as for writeLocked) and leaves it
+// in the buffered writer: readLoop flushes once it has no further whole request.
+func (sc *sockConn) reply(ss *servedSet, typ byte, id uint64, payload []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	return sc.writeLocked(typ, id, payload)
+	return sc.writeLocked(typ, id, payload, ss)
 }
 
 // flush pushes buffered output to the socket.
@@ -432,24 +473,27 @@ func (sc *sockConn) readLoop() {
 	}
 }
 
-// handleFor resolves a set handle from a request payload's leading u32.
-func (sc *sockConn) handleFor(payload []byte) (*metric.Set, bool) {
-	sc.hmu.Lock()
-	set, ok := sc.handles[wireLE.Uint32(payload)]
-	sc.hmu.Unlock()
-	return set, ok
+// handleFor resolves a request payload's leading u32 set handle (nil: unknown).
+func (sc *sockConn) handleFor(payload []byte) *servedSet {
+	if h := wireLE.Uint32(payload); int64(h) < int64(len(sc.handles)) {
+		return &sc.handles[h]
+	}
+	return nil
 }
 
-// registerHandle assigns the next handle for a successfully looked-up set.
+// registerHandle returns the handle of a successfully looked-up set: the one
+// it already has on this connection (a peer may look a set up every pass
+// while it cannot mirror it; the table must not grow with that), or the next.
 func (sc *sockConn) registerHandle(set *metric.Set) uint32 {
-	sc.hmu.Lock()
-	if sc.handles == nil {
-		sc.handles = make(map[uint32]*metric.Set)
+	if h, ok := sc.handleOf[set]; ok {
+		return h
 	}
-	h := sc.nextH
-	sc.nextH++
-	sc.handles[h] = set
-	sc.hmu.Unlock()
+	if sc.handleOf == nil {
+		sc.handleOf = make(map[*metric.Set]uint32)
+	}
+	h := uint32(len(sc.handles))
+	sc.handles = append(sc.handles, servedSet{set: set})
+	sc.handleOf[set] = h
 	return h
 }
 
@@ -460,7 +504,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 	replyErr := func(msg string) error {
 		//ldms:errok appendString only fails on strings over maxWireString, which clipString just bounded
 		p, _ := appendString(nil, clipString(msg))
-		return sc.reply(msgErrResp, id, p)
+		return sc.reply(nil, msgErrResp, id, p)
 	}
 	if typ == msgHello {
 		name, _, err := readString(payload, 0)
@@ -487,15 +531,15 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 			if err != nil {
 				return replyErr(err.Error())
 			}
-			return sc.reply(msgDirDictResp, id, b)
+			return sc.reply(nil, msgDirDictResp, id, b)
 		}
 		b, err := encodeDirResp(names, sc.localCaps)
 		if err != nil {
 			return replyErr(err.Error())
 		}
-		return sc.reply(msgDirResp, id, b)
+		return sc.reply(nil, msgDirResp, id, b)
 	case msgDirGenReq:
-		return sc.reply(msgDirGenResp, id, wireLE.AppendUint64(nil, sc.srv.serveDirGen()))
+		return sc.reply(nil, msgDirGenResp, id, wireLE.AppendUint64(nil, sc.srv.serveDirGen()))
 	case msgLookupReq, msgLookupDictReq:
 		var name string
 		if typ == msgLookupDictReq {
@@ -520,20 +564,21 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		}
 		resp := wireLE.AppendUint32(nil, sc.registerHandle(set))
 		resp = append(resp, meta...)
-		return sc.reply(msgLookupResp, id, resp)
+		return sc.reply(nil, msgLookupResp, id, resp)
 	case msgUpdateReq:
 		if len(payload) < 4 {
 			return replyErr("transport: short update request")
 		}
-		set, ok := sc.handleFor(payload)
-		if !ok {
+		ss := sc.handleFor(payload)
+		if ss == nil {
 			return replyErr("transport: unknown set handle")
 		}
+		set := ss.set
 		ds := set.DataSize()
 		if !sc.traceEnabled() {
 			buf := getBuf(ds)
 			n := sc.srv.serveUpdate(set, buf)
-			err := sc.reply(msgUpdateResp, id, buf[:n])
+			err := sc.reply(ss, msgUpdateResp, id, buf[:n])
 			putBuf(buf)
 			return err
 		}
@@ -543,17 +588,18 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		off := len(b)
 		b = growTo(b, off+ds)
 		n := sc.srv.serveUpdate(set, b[off:])
-		err := sc.reply(msgUpdateResp, id, b[:off+n])
+		err := sc.reply(ss, msgUpdateResp, id, b[:off+n])
 		putBuf(b)
 		return err
 	case msgDeltaUpdateReq:
 		if len(payload) < 12 {
 			return replyErr("transport: short delta update request")
 		}
-		set, ok := sc.handleFor(payload)
-		if !ok {
+		ss := sc.handleFor(payload)
+		if ss == nil {
 			return replyErr("transport: unknown set handle")
 		}
+		set := ss.set
 		since := wireLE.Uint64(payload[4:])
 		ds := set.DataSize()
 		if !sc.traceEnabled() {
@@ -561,7 +607,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 			// than it, so serveUpdateDelta never reallocates.
 			buf := getBuf(1 + ds + 64)
 			out := sc.srv.serveUpdateDelta(set, since, buf)
-			err := sc.reply(msgDeltaUpdateResp, id, out)
+			err := sc.reply(ss, msgDeltaUpdateResp, id, out)
 			putBuf(buf)
 			return err
 		}
@@ -570,7 +616,7 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		off := len(b)
 		b = growTo(b, off+1+ds+64)
 		out := sc.srv.serveUpdateDelta(set, since, b[off:])
-		err := sc.reply(msgDeltaUpdateResp, id, b[:off+len(out)])
+		err := sc.reply(ss, msgDeltaUpdateResp, id, b[:off+len(out)])
 		putBuf(b)
 		return err
 	}
@@ -829,7 +875,7 @@ func (sc *sockConn) writeLookups(ops []LookupOp, first uint64) error {
 			return err
 		}
 		sc.scratch = req
-		if err := sc.writeLocked(typ, first+uint64(i), req); err != nil {
+		if err := sc.writeLocked(typ, first+uint64(i), req, nil); err != nil {
 			return err
 		}
 	}

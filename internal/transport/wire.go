@@ -533,8 +533,9 @@ func decodeDirDictResp(b []byte, d *recvDict) ([]string, uint32, error) {
 // when deflate actually wins; the receiver inflates whenever the bit is
 // set, so the sender stays free to skip compression frame by frame.
 const (
-	compressFlag = 0x80
-	compressMin  = 512
+	compressFlag      = 0x80
+	compressMin       = 512
+	deflateBackoffMax = 256 // caps servedSet's back-off, in update responses
 )
 
 // frameDeflater is a per-connection compressor; callers serialize access
@@ -545,13 +546,10 @@ type frameDeflater struct {
 }
 
 // compress returns the compressed form of payload and true, or payload
-// unchanged and false when compression would not shrink it. The returned
-// slice aliases the deflater's scratch buffer and is only valid until the
-// next call.
+// unchanged and false when compression would not shrink it (the caller has
+// already turned away payloads under compressMin). The returned slice aliases
+// the deflater's scratch buffer and is only valid until the next call.
 func (d *frameDeflater) compress(payload []byte) ([]byte, bool) {
-	if len(payload) < compressMin {
-		return payload, false
-	}
 	d.buf.Reset()
 	var hdr [4]byte
 	wireLE.PutUint32(hdr[:], uint32(len(payload)))
