@@ -83,7 +83,7 @@ updtr_start name=u
 	} else if i, _ := s.MetricIndex("cnt"); s.U64(i) != 101 {
 		t.Errorf("first fold max(cnt) = %d, want 101", s.U64(i))
 	}
-	firstSamples(mid, "n1", "looked up 2 sets in 0s, 2 first samples in the same pass")
+	firstSamples(mid, "n1", "looked up 2 sets in 0s, 2 first samples in the same pass, 1 layouts, 1 shared")
 
 	// The top fired after the mid at the same instant: four sets (two raw,
 	// two folds) crossed the second hop in the pass that looked them up.
@@ -98,7 +98,7 @@ updtr_start name=u
 			t.Errorf("top window holds %d points of %s after the first pass, want 1", got, name)
 		}
 	}
-	firstSamples(top, "mid", "looked up 4 sets in 0s, 4 first samples in the same pass")
+	firstSamples(top, "mid", "looked up 4 sets in 0s, 4 first samples in the same pass, 3 layouts, 1 shared")
 
 	// A join is the same path: the pass that first sees the set stores it.
 	sc := metric.NewSchema("tiernode")

@@ -702,10 +702,11 @@ func (d *Daemon) cmdUpdtrStatus() (string, error) {
 		interval := u.interval
 		u.mu.Unlock()
 		uline := fmt.Sprintf(
-			"name=%s state=%s interval=%s producers=%d concurrency=%d batch=%d passes=%d inflight=%d last_pass_us=%d updates=%d skipped_busy=%d errors=%d",
+			"name=%s state=%s interval=%s producers=%d concurrency=%d batch=%d passes=%d inflight=%d last_pass_us=%d updates=%d skipped_busy=%d errors=%d mirror_nomem=%d mirror_badmeta=%d",
 			u.name, state, interval, nprdcr, conc, batch,
 			u.passes.Load(), u.inflight.Load(), u.lastPassNanos.Load()/1000,
-			u.updates.Load(), u.skippedBusy.Load(), u.errors.Load())
+			u.updates.Load(), u.skippedBusy.Load(), u.errors.Load(),
+			u.mirrorNomem.Load(), u.mirrorBadmeta.Load())
 		if ops, exportRaw, rst, enabled := u.ReduceStatus(); enabled {
 			exp := "raw"
 			if !exportRaw {
@@ -718,8 +719,8 @@ func (d *Daemon) cmdUpdtrStatus() (string, error) {
 		lines = append(lines, uline)
 		for _, ph := range u.PullHealth() {
 			line := fmt.Sprintf(
-				"  prdcr=%s sets=%d last_update=%s consec_errors=%d",
-				ph.Producer, u.MirroredSets(ph.Producer),
+				"  prdcr=%s sets=%d unmirrored=%d last_update=%s consec_errors=%d",
+				ph.Producer, u.MirroredSets(ph.Producer), ph.Unmirrored,
 				timestampOrNever(ph.LastSuccess), ph.ConsecErrors)
 			if p := d.Producer(ph.Producer); p != nil {
 				line += " connected_since=" + timestampOrNever(d.producerConnectedSince(p))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"goldms/internal/metric"
 	"goldms/internal/obs"
 	"goldms/internal/query"
 	"goldms/internal/sched"
@@ -153,9 +154,10 @@ func (d *Daemon) producerHealth() []query.ProducerHealth {
 	// Fold per-updater pull health into per-producer records: most recent
 	// success across updaters, worst error streak, fastest pull interval.
 	type pull struct {
-		last     time.Time
-		errs     int64
-		interval time.Duration
+		last       time.Time
+		errs       int64
+		interval   time.Duration
+		unmirrored int
 	}
 	pulls := make(map[string]pull)
 	for _, u := range updtrs {
@@ -170,6 +172,7 @@ func (d *Daemon) producerHealth() []query.ProducerHealth {
 			if !seen || u.Interval() < pr.interval {
 				pr.interval = u.Interval()
 			}
+			pr.unmirrored += ph.Unmirrored
 			pulls[ph.Producer] = pr
 		}
 	}
@@ -193,6 +196,7 @@ func (d *Daemon) producerHealth() []query.ProducerHealth {
 		if pr, ok := pulls[p.Name()]; ok && ph.Active {
 			ph.LastUpdate = pr.last
 			ph.ConsecutiveErrors = pr.errs
+			ph.Unmirrored = pr.unmirrored
 			if pr.errs >= staleErrorStreak {
 				ph.Stale = true
 			} else if !pr.last.IsZero() && now.Sub(pr.last) > staleIntervalFactor*pr.interval {
@@ -253,6 +257,8 @@ func (d *Daemon) collectSelfMetrics(e *query.Expo) {
 		e.Counter("ldmsd_updater_skipped_busy_total", "Scheduled passes skipped because the previous pass was still running.", l, float64(u.skippedBusy.Load()))
 		e.Counter("ldmsd_updater_lookups_total", "Set lookups performed.", l, float64(u.lookups.Load()))
 		e.Counter("ldmsd_updater_errors_total", "Transport or decode errors on the pull path.", l, float64(u.errors.Load()))
+		e.Counter("ldmsd_updater_mirror_nomem_total", "Looked-up sets left unmirrored because the set memory budget (-m) refused their chunks.", l, float64(u.mirrorNomem.Load()))
+		e.Counter("ldmsd_updater_mirror_badmeta_total", "Looked-up sets left unmirrored because their metadata describes no valid layout.", l, float64(u.mirrorBadmeta.Load()))
 		for _, rc := range []struct {
 			result string
 			v      int64
@@ -350,6 +356,8 @@ func (d *Daemon) collectSelfMetrics(e *query.Expo) {
 	e.Counter("ldmsd_server_deflate_offers_total", "Response frames offered to deflate (every one >= 512 B, but a set's update responses back off while deflate keeps losing on them).", []query.Label{dl}, float64(ss.DeflateOffers))
 	e.Counter("ldmsd_server_deflate_wins_total", "Offers that shrank the frame, which then went out compressed.", []query.Label{dl}, float64(ss.DeflateWins))
 	e.Counter("ldmsd_server_host_cpu_seconds_total", "Wall time spent serving dir, lookup and update requests, deflate included (the paper's sampler-host overhead).", []query.Label{dl}, ss.HostCPU.Seconds())
+
+	e.Gauge("ldmsd_interned_schemas", "Distinct set layouts held in the process: every mirror of a layout shares its one schema.", []query.Label{dl}, float64(metric.InternedSchemas()))
 
 	as := d.arena.Stats()
 	for _, m := range []struct {

@@ -137,10 +137,11 @@ func TestObsJournalReconnectCycle(t *testing.T) {
 
 	// Each connection epoch triggered one aggregate lookup event, which
 	// also says how long the lookups took (nothing, on a virtual clock) and
-	// that both sets were pulled and stored before the pass ended.
+	// that both sets were pulled and stored before the pass ended, on one
+	// schema between them.
 	lookups := 0
 	for _, ev := range j.Query(0, obs.SevInfo, obs.CompUpdater, "n1") {
-		if ev.Message == "u1 looked up 2 sets in 0s, 2 first samples in the same pass" {
+		if ev.Message == "u1 looked up 2 sets in 0s, 2 first samples in the same pass, 1 layouts, 1 shared" {
 			lookups++
 		}
 	}

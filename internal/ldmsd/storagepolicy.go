@@ -51,22 +51,26 @@ type StoragePolicy struct {
 	flushEvery time.Duration
 	dropOldest bool
 
-	mu         sync.Mutex
-	notFull    sync.Cond // overflow=block enqueuers wait here
-	idle       sync.Cond // broadcast when a drain run finishes
-	ring       []metric.Row
-	head, n    int
-	draining   bool
-	st         store.Store
-	fail       error
-	closed     bool
-	flushTask  *sched.Task
-	metricSel  map[string]bool // nil = all metrics
-	dropWarned bool            // first overflow drop has been journaled
+	mu           sync.Mutex
+	notFull      sync.Cond // overflow=block enqueuers wait here
+	idle         sync.Cond // broadcast when a drain run finishes
+	ring         []metric.Row
+	head, n      int
+	draining     bool
+	st           store.Store
+	fail         error
+	closed       bool
+	flushTask    *sched.Task
+	metricSel    map[string]bool // nil = all metrics
+	dropWarned   bool            // first overflow drop has been journaled
+	layoutWarned bool            // first row of another metric list has been journaled
 
-	// Column layout, fixed at the first matching sample. names is shared
-	// by every queued Row; selIdx maps row columns to set indices when a
-	// metric filter is active (nil = identity).
+	// Column layout, fixed at the first matching sample. layout is the
+	// Schema last found to carry it (mirrors of one layout share theirs, so
+	// the check per row is a pointer compare); names is shared by every
+	// queued Row; selIdx maps row columns to set indices when a metric
+	// filter is active (nil = identity).
+	layout *metric.Schema
 	names  []string
 	types  []metric.Type
 	selIdx []int
@@ -293,8 +297,10 @@ func (sp *StoragePolicy) enqueue(set *metric.Set) {
 		sp.mu.Unlock()
 		return
 	}
-	if sp.names == nil {
-		sp.initColumnsLocked(set)
+	if set.Schema() != sp.layout && !sp.initColumnsLocked(set) {
+		sp.dropped.Add(1)
+		sp.mu.Unlock()
+		return
 	}
 	vals := sp.getValsLocked()
 	var ts time.Time
@@ -357,8 +363,24 @@ func (sp *StoragePolicy) enqueue(set *metric.Set) {
 }
 
 // initColumnsLocked fixes the policy's column layout from the first
-// matching sample, applying the metric filter. Caller holds sp.mu.
-func (sp *StoragePolicy) initColumnsLocked(set *metric.Set) {
+// matching sample, applying the metric filter, and admits a later set that
+// brings a Schema object of its own when the layout is equal. It reports
+// false for a set of the schema's name under another metric list, whose
+// values would land in the wrong columns. Caller holds sp.mu.
+func (sp *StoragePolicy) initColumnsLocked(set *metric.Set) bool {
+	if sp.layout != nil {
+		if !sp.layout.Equal(set.Schema()) {
+			if !sp.layoutWarned {
+				sp.layoutWarned = true
+				sp.d.journal.Appendf(obs.SevWarn, obs.CompStore, sp.name, 0,
+					"set %s has another metric list than the policy's columns: its rows are dropped", set.Name())
+			}
+			return false
+		}
+		sp.layout = set.Schema()
+		return true
+	}
+	sp.layout = set.Schema()
 	card := set.Card()
 	sp.card = card
 	names := make([]string, 0, card)
@@ -378,6 +400,7 @@ func (sp *StoragePolicy) initColumnsLocked(set *metric.Set) {
 	if len(sel) != card {
 		sp.selIdx = sel
 	}
+	return true
 }
 
 // getValsLocked pops a value slice off the free list (capacity = full set

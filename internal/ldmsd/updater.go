@@ -71,13 +71,15 @@ type Updater struct {
 	hmu    sync.Mutex
 	health map[string]*prdcrPullHealth
 
-	lookups      atomic.Int64
-	updates      atomic.Int64
-	fresh        atomic.Int64
-	stale        atomic.Int64
-	inconsistent atomic.Int64
-	errors       atomic.Int64
-	skippedBusy  atomic.Int64
+	lookups       atomic.Int64
+	mirrorNomem   atomic.Int64 // looked-up sets left unmirrored for want of set memory
+	mirrorBadmeta atomic.Int64 // looked-up sets whose metadata describes no valid layout
+	updates       atomic.Int64
+	fresh         atomic.Int64
+	stale         atomic.Int64
+	inconsistent  atomic.Int64
+	errors        atomic.Int64
+	skippedBusy   atomic.Int64
 
 	passes        atomic.Int64
 	inflight      atomic.Int64 // producer pulls currently in flight
@@ -103,12 +105,19 @@ type updProducerState struct {
 	due  []*updSet
 	ops  []transport.UpdateOp
 	lops []transport.LookupOp
+	// This pass's tally of matched sets that have no mirror (unmirrored):
+	// how many, how many bytes of set memory they lack, and the first
+	// failure of the pass, which names a set and a cause in the journal.
+	short      int
+	shortBytes int
+	shortErr   error
 }
 
 // prdcrPullHealth is one producer's pull health as seen by this updater.
 type prdcrPullHealth struct {
 	lastSuccess  time.Time // scheduler time of the last clean pass
 	consecErrors int64     // consecutive failed pulls since then
+	unmirrored   int       // matched sets without a mirror as of the last pass
 }
 
 // ProducerPullHealth is the exported pull-health snapshot for one producer
@@ -117,6 +126,7 @@ type ProducerPullHealth struct {
 	Producer     string
 	LastSuccess  time.Time // zero until the first clean pass
 	ConsecErrors int64
+	Unmirrored   int // matched sets without a mirror (no set memory, bad metadata)
 }
 
 // updSet is the pull state for one remote metric set.
@@ -139,7 +149,17 @@ type updSet struct {
 	// trace is the producer's hop-chain block from the last pull (recycled
 	// capacity; length 0 on legacy peers and errors).
 	trace []byte
+	// Retry back-off of a set that could not be mirrored: backoff is how
+	// many passes after the last failure the next lookup comes (1, 2, 4 …
+	// unmirroredBackoffMax; 0 once mirrored), skip how many of them are
+	// still to sit out, short the set memory the mirror lacked (0 for bad
+	// metadata). A directory change or a new connection starts over.
+	backoff, skip uint8
+	short         int
 }
+
+// unmirroredBackoffMax caps a set's retry back-off, in passes.
+const unmirroredBackoffMax = 64
 
 // exportName is the paper's <producer>/<set> re-export convention: a bare
 // remote instance name is qualified with the producer it came from, so an
@@ -438,7 +458,7 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 		cancel()
 		if err != nil {
 			p.disconnected(epoch)
-			u.recordHealth(name, false)
+			u.recordHealth(name, false, 0)
 			return
 		}
 		names = fresh
@@ -447,12 +467,13 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 
 	ps := u.producerState(name, epoch, names)
 	if fresh, changed, ok := u.refreshDir(conn, p, ps, epoch); !ok {
-		u.recordHealth(name, false)
+		u.recordHealth(name, false, 0)
 		return
 	} else if changed {
 		names = fresh
 	}
 	due := ps.due[:0]
+	ps.short, ps.shortBytes, ps.shortErr = 0, 0, nil
 	var need []*updSet // matched sets without a lookup handle
 	for _, sn := range names {
 		us := ps.sets[sn]
@@ -463,11 +484,16 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 		if match != nil && !match(sn) {
 			continue
 		}
-		if us.remote == nil {
+		switch {
+		case us.remote != nil:
+			due = append(due, us)
+		case us.skip > 0:
+			us.skip--
+			ps.short++
+			ps.shortBytes += us.short
+		default:
 			need = append(need, us)
-			continue
 		}
-		due = append(due, us)
 	}
 	// A set's first sample arrives in the pass that looks it up: the sets
 	// that get a handle now join due behind the known ones and are pulled
@@ -517,21 +543,33 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 		// One aggregate event per producer pass: per-set events would flush
 		// the whole journal ring on a large initial directory. It carries what
 		// answers "why was the first row late": how long the lookups took and
-		// how many of the sets had a sample to store in this same pass.
+		// how many of the sets had a sample to store in this same pass — and
+		// what the mirrors cost: how many distinct schemas they resolved to.
+		layouts := make(map[*metric.Schema]struct{})
+		for _, us := range due[known:] {
+			layouts[us.mirror.Schema()] = struct{}{}
+		}
 		u.d.journal.Appendf(obs.SevInfo, obs.CompUpdater, name, epoch,
-			"%s looked up %d sets in %s, %d first samples in the same pass",
-			u.name, looked, lookupTook.Round(time.Microsecond), first)
+			"%s looked up %d sets in %s, %d first samples in the same pass, %d layouts, %d shared",
+			u.name, looked, lookupTook.Round(time.Microsecond), first, len(layouts), looked-len(layouts))
+	}
+	if ps.shortErr != nil {
+		// A pass in which a mirror failed, not every pass a set sits out: the
+		// back-off spaces these events as it spaces the lookups.
+		u.d.journal.Appendf(obs.SevWarn, obs.CompUpdater, name, epoch,
+			"%s: %d matched sets unmirrored, %d bytes of set memory (-m) short: %v",
+			u.name, ps.short, ps.shortBytes, ps.shortErr)
 	}
 	if failed {
 		p.disconnected(epoch)
 	}
-	u.recordHealth(name, !failed)
+	u.recordHealth(name, !failed, ps.short)
 }
 
 // lookupSets looks up need in pipelined batches and appends the sets that
-// got a handle to due (a set gone from the peer, or one there is no room to
-// mirror, is left for a later pass). failed reports a connection-level
-// failure.
+// got a handle to due (a set gone from the peer is left for the next pass,
+// one that cannot be mirrored for its back-off). failed reports a
+// connection-level failure.
 func (u *Updater) lookupSets(conn transport.Conn, ps *updProducerState, need, due []*updSet, batch int) (_ []*updSet, failed bool) {
 	for lo := 0; lo < len(need); lo += batch {
 		chunk := need[lo:min(lo+batch, len(need))]
@@ -544,7 +582,7 @@ func (u *Updater) lookupSets(conn transport.Conn, ps *updProducerState, need, du
 		transport.LookupAll(ctx, conn, lops)
 		cancel()
 		for i, us := range chunk {
-			if !u.finishLookup(us, lops[i].Set, lops[i].Err) {
+			if !u.finishLookup(ps, us, lops[i].Set, lops[i].Err) {
 				return due, true
 			}
 			if us.remote != nil {
@@ -603,19 +641,23 @@ func (u *Updater) syncSets(ps *updProducerState, names []string) {
 			u.releaseSet(us)
 			delete(ps.sets, sn)
 		}
+		// Sets came or went: memory may have, too. Retry at once.
+		us.backoff, us.skip = 0, 0
 	}
 }
 
 // recordHealth updates one producer's pull-health record at the end of its
 // share of a pass: a clean pull stamps the scheduler time and clears the
-// error streak, a failed one extends the streak.
-func (u *Updater) recordHealth(name string, ok bool) {
+// error streak, a failed one extends the streak; unmirrored is how many of
+// its matched sets the pass left without a mirror.
+func (u *Updater) recordHealth(name string, ok bool, unmirrored int) {
 	u.hmu.Lock()
 	h := u.health[name]
 	if h == nil {
 		h = &prdcrPullHealth{}
 		u.health[name] = h
 	}
+	h.unmirrored = unmirrored
 	if ok {
 		h.lastSuccess = u.d.sch.Now()
 		h.consecErrors = 0
@@ -640,6 +682,7 @@ func (u *Updater) PullHealth() []ProducerPullHealth {
 		if h := u.health[name]; h != nil {
 			ph.LastSuccess = h.lastSuccess
 			ph.ConsecErrors = h.consecErrors
+			ph.Unmirrored = h.unmirrored
 		}
 		out = append(out, ph)
 	}
@@ -779,10 +822,31 @@ func (u *Updater) ctx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), u.timeout)
 }
 
+// unmirrored books a matched set that a lookup reached but that got no
+// mirror: under its reason counter, in the producer's tally for this pass's
+// journal event and /healthz, and with the next step of its retry back-off.
+func (u *Updater) unmirrored(ps *updProducerState, us *updSet, reason *atomic.Int64, bytes int, err error) {
+	reason.Add(1)
+	u.errors.Add(1)
+	us.backoff = min(max(2*us.backoff, 1), unmirroredBackoffMax)
+	us.skip, us.short = us.backoff-1, bytes
+	ps.short++
+	ps.shortBytes += bytes
+	if ps.shortErr == nil {
+		ps.shortErr = err
+	}
+}
+
 // finishLookup applies one completed lookup: the one-time mirror creation
 // and registration for a set. It reports false on a connection-level
 // failure.
-func (u *Updater) finishLookup(us *updSet, remote transport.RemoteSet, err error) bool {
+func (u *Updater) finishLookup(ps *updProducerState, us *updSet, remote transport.RemoteSet, err error) bool {
+	if errors.Is(err, metric.ErrBadLayout) {
+		// The chunk arrived whole and describes no set: that costs the set,
+		// not the connection the other sets are pulled over.
+		u.unmirrored(ps, us, &u.mirrorBadmeta, 0, err)
+		return true
+	}
 	if err != nil {
 		u.errors.Add(1)
 		// A set that went away is not a connection failure.
@@ -792,7 +856,7 @@ func (u *Updater) finishLookup(us *updSet, remote transport.RemoteSet, err error
 
 	// Reuse the existing mirror when the metadata generation still
 	// matches; otherwise build a fresh one.
-	if us.mirror == nil || us.mirror.MGN() != remote.Meta().MGN {
+	if meta := remote.Meta(); us.mirror == nil || us.mirror.MGN() != meta.MGN {
 		// The new mirror is counted before the old one is let go: a set
 		// that came back under a new MGN (its sampler restarted) keeps its
 		// name's window history, which the window itself restarts if the
@@ -802,18 +866,18 @@ func (u *Updater) finishLookup(us *updSet, remote transport.RemoteSet, err error
 		// The mirror takes the local re-export name: the remote MGN/DGN
 		// still propagate verbatim through LoadData, so staleness and
 		// torn-read detection survive the hop under the qualified name.
-		mirror, err := remote.Meta().NewMirrorNamed(us.regName, metric.WithArena(u.d.arena))
+		mirror, err := meta.NewMirrorNamed(us.regName, metric.WithArena(u.d.arena))
 		if err != nil {
-			// Arena exhaustion or malformed metadata: count and retry on a
-			// later pass.
+			// The layout is sound (ParseMeta built it), so this is the set
+			// memory budget refusing the two chunks.
 			u.d.mirrorGone(us.regName)
-			us.mirror = nil
-			u.errors.Add(1)
+			u.unmirrored(ps, us, &u.mirrorNomem, meta.Schema.MetaSize(us.regName)+meta.DataSize, err)
 			return true
 		}
 		us.mirror = mirror
-		us.buf = make([]byte, remote.Meta().DataSize)
+		us.buf = make([]byte, meta.DataSize)
 		us.haveDGN = false
+		us.backoff, us.skip, us.short = 0, 0, 0
 		if u.reducer != nil {
 			created, rerr := u.reducer.AddMember(us.regName, mirror)
 			if rerr != nil {

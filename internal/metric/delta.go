@@ -40,8 +40,6 @@ const (
 var (
 	ErrDeltaTruncated = errors.New("metric: truncated delta update")
 	ErrDeltaBadIndex  = errors.New("metric: delta entry index out of range")
-	ErrDeltaBadType   = errors.New("metric: delta entry has invalid type")
-	ErrDeltaBadOffset = errors.New("metric: delta entry offset out of range")
 	ErrDeltaTrailing  = errors.New("metric: trailing bytes after delta entries")
 	ErrDeltaBufSize   = errors.New("metric: delta apply buffer has wrong size")
 	ErrDeltaWrongMGN  = errors.New("metric: delta header MGN does not match metadata")
@@ -112,13 +110,16 @@ func appendBits(dst []byte, t Type, bits uint64) []byte {
 // ApplyDelta patches a pull buffer, which must hold the data chunk the
 // delta was encoded against (the consumer's acknowledged base state), into
 // the sender's current chunk: each entry's value bytes land at the metric's
-// offset, then the carried header replaces the buffer's. It validates every
-// entry against the metadata and the buffer bounds, so hostile or truncated
-// payloads error without panicking or writing out of range.
+// offset, then the carried header replaces the buffer's. Types and offsets
+// come from the schema, whose construction proved every value inside a chunk
+// of its data size, so a buffer of exactly that size bounds every write; the
+// payload itself is validated entry by entry, and hostile or truncated ones
+// error without panicking or writing out of range.
 //
 //ldms:hotpath
 func (m *Meta) ApplyDelta(buf, delta []byte) error {
-	if len(buf) != m.DataSize {
+	defs, offs := m.Schema.defs, m.Schema.offsets
+	if len(buf) != m.Schema.dataSize {
 		return ErrDeltaBufSize
 	}
 	if len(delta) < deltaHeaderSize {
@@ -144,17 +145,10 @@ func (m *Meta) ApplyDelta(buf, delta []byte) error {
 		}
 		i := int(le.Uint16(delta[pos:]))
 		pos += 2
-		if i >= len(m.Metrics) {
+		if i >= len(defs) {
 			return ErrDeltaBadIndex
 		}
-		sz := m.Metrics[i].Type.Size()
-		if sz == 0 {
-			return ErrDeltaBadType
-		}
-		off := int(m.Metrics[i].Offset)
-		if off < dataHeaderSize || off+sz > len(buf) {
-			return ErrDeltaBadOffset
-		}
+		sz, off := defs[i].Type.Size(), int(offs[i])
 		if pos+sz > len(delta) {
 			return ErrDeltaTruncated
 		}

@@ -2,6 +2,7 @@ package metric
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -290,16 +291,12 @@ func TestApplyDeltaHostile(t *testing.T) {
 		t.Errorf("short buf: ApplyDelta err = %v, want %v", err, ErrDeltaBufSize)
 	}
 
-	// Hostile metadata: offset pointing into the header.
-	evil := *meta
-	evil.Metrics = append([]MetaMetric(nil), meta.Metrics...)
-	evil.Metrics[3].Offset = 0
-	d := append([]byte(nil), good...)
-	le.PutUint32(d[deltaCountOff:], 1)
-	d = le.AppendUint16(d, 3)
-	d = le.AppendUint64(d, 1)
-	if err := evil.ApplyDelta(buf, d); err != ErrDeltaBadOffset {
-		t.Errorf("header offset: ApplyDelta err = %v, want %v", err, ErrDeltaBadOffset)
+	// Hostile metadata: an offset pointing into the header never becomes a
+	// Meta to apply a delta under.
+	evil := append([]byte(nil), s.MetaBytes()...)
+	le.PutUint32(evil[s.entryOff[3]+entryValOff:], 0)
+	if _, err := ParseMeta(evil); !errors.Is(err, ErrBadLayout) {
+		t.Errorf("header offset: ParseMeta err = %v, want %v", err, ErrBadLayout)
 	}
 }
 

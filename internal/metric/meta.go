@@ -1,7 +1,9 @@
 package metric
 
 import (
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"time"
 )
 
@@ -68,19 +70,6 @@ func putString(b []byte, pos int, s string) int {
 	return 2 + len(s)
 }
 
-// getString reads a u16-length-prefixed string at pos, returning the string
-// and the following position.
-func getString(b []byte, pos int) (string, int, error) {
-	if pos+2 > len(b) {
-		return "", 0, fmt.Errorf("metric: truncated metadata string length at %d", pos)
-	}
-	n := int(le.Uint16(b[pos:]))
-	if pos+2+n > len(b) {
-		return "", 0, fmt.Errorf("metric: truncated metadata string at %d", pos)
-	}
-	return string(b[pos+2 : pos+2+n]), pos + 2 + n, nil
-}
-
 // CompID returns the user-defined component ID recorded for metric i.
 func (s *Set) CompID(i int) uint64 {
 	s.mu.RLock()
@@ -101,24 +90,66 @@ func (s *Set) SetCompID(id uint64) {
 	le.PutUint64(s.data[offMGN:], mgn)
 }
 
-// MetaMetric is one parsed metadata entry.
-type MetaMetric struct {
-	Name   string
-	Type   Type
-	CompID uint64
-	Offset uint32
-}
+// ErrBadLayout marks a metadata chunk that decodes but describes a layout no
+// set can have (a duplicate or empty metric name, an invalid type, offsets or
+// a data size that do not follow from the types). It condemns the one set,
+// where a chunk that does not decode at all condemns the connection.
+var ErrBadLayout = errors.New("metric: bad set layout")
 
-// Meta is a parsed metadata chunk, the result of an aggregator's lookup.
+// Meta is a parsed metadata chunk, the result of an aggregator's lookup:
+// what the instance owns (name, MGN, component IDs) plus the canonical
+// Schema its layout resolved to, shared with every other set of that layout.
 type Meta struct {
-	MGN        uint64
-	Instance   string
-	SchemaName string
-	DataSize   int
-	Metrics    []MetaMetric
+	MGN      uint64
+	Instance string
+	Schema   *Schema
+	DataSize int
+	// CompIDs holds the metrics' component IDs: one element when they are
+	// all the same (one per node is the rule), else one per metric.
+	CompIDs []uint64
 }
 
-// ParseMeta decodes a serialized metadata chunk.
+// metaEntry is one decoded metadata entry; name aliases the chunk.
+type metaEntry struct {
+	name   []byte
+	compID uint64
+	typ    Type
+	off    uint32
+}
+
+// getBytes reads a u16-length-prefixed string at pos without copying it.
+func getBytes(b []byte, pos int) ([]byte, int, error) {
+	if pos+2 > len(b) {
+		return nil, 0, fmt.Errorf("metric: truncated metadata string length at %d", pos)
+	}
+	end := pos + 2 + int(le.Uint16(b[pos:]))
+	if end > len(b) {
+		return nil, 0, fmt.Errorf("metric: truncated metadata string at %d", pos)
+	}
+	return b[pos+2 : end], end, nil
+}
+
+// nextEntry decodes the metadata entry at pos and returns the position of
+// the one after it.
+func nextEntry(b []byte, pos int) (e metaEntry, next int, err error) {
+	if e.name, pos, err = getBytes(b, pos); err != nil {
+		return e, 0, err
+	}
+	if next = pos + metaEntryFixed - 2; next > len(b) {
+		return e, 0, fmt.Errorf("metric: truncated metadata entry at %d", pos)
+	}
+	e.compID = le.Uint64(b[pos+entryCompOff:])
+	e.typ = Type(b[pos+entryTypeOff])
+	e.off = le.Uint32(b[pos+entryValOff:])
+	return e, next, nil
+}
+
+// ParseMeta decodes a serialized metadata chunk. The layout it describes —
+// schema name, every metric's name, type and offset, the data size — is
+// resolved through the intern table: a chunk whose layout the process
+// already holds costs a hash and a compare and shares that Schema; only a
+// new layout is built, under the checks a set's own construction makes,
+// whose failures wrap ErrBadLayout.
 func ParseMeta(b []byte) (*Meta, error) {
 	if len(b) < metaHeaderFixed {
 		return nil, fmt.Errorf("metric: metadata too short (%d bytes)", len(b))
@@ -139,33 +170,95 @@ func ParseMeta(b []byte) (*Meta, error) {
 	if card > len(b)/metaEntryFixed+1 {
 		return nil, fmt.Errorf("metric: metadata claims %d entries in %d bytes", card, len(b))
 	}
+	instance, schemaPos, err := getBytes(b, metaOffStr)
+	if err != nil {
+		return nil, err
+	}
+	m.Instance = string(instance)
+	name, entries, err := getBytes(b, schemaPos)
+	if err != nil {
+		return nil, err
+	}
 
-	var err error
-	pos := metaOffStr
-	if m.Instance, pos, err = getString(b, pos); err != nil {
-		return nil, err
-	}
-	if m.SchemaName, pos, err = getString(b, pos); err != nil {
-		return nil, err
-	}
-	m.Metrics = make([]MetaMetric, 0, card)
-	for i := 0; i < card; i++ {
-		var name string
-		if name, pos, err = getString(b, pos); err != nil {
+	// One pass proves the chunk's structure, hashes exactly the bytes that
+	// make the layout (length prefixes keep the framing unambiguous) and
+	// collects the component IDs, which belong to the instance.
+	var h maphash.Hash
+	h.SetSeed(interned.seed)
+	h.Write(b[metaOffCard:metaOffStr])
+	h.Write(b[schemaPos:entries])
+	for i, pos := 0, entries; i < card; i++ {
+		e, next, err := nextEntry(b, pos)
+		if err != nil {
 			return nil, fmt.Errorf("metric: entry %d: %w", i, err)
 		}
-		if pos+metaEntryFixed-2 > len(b) {
-			return nil, fmt.Errorf("metric: truncated metadata entry %d", i)
+		h.Write(b[pos : pos+2+len(e.name)])
+		h.Write(b[next-5 : next]) // type and offset
+		if i == 0 {
+			m.CompIDs = []uint64{e.compID}
+		} else if len(m.CompIDs) > 1 || e.compID != m.CompIDs[0] {
+			for len(m.CompIDs) < i {
+				m.CompIDs = append(m.CompIDs, m.CompIDs[0])
+			}
+			m.CompIDs = append(m.CompIDs, e.compID)
 		}
-		m.Metrics = append(m.Metrics, MetaMetric{
-			Name:   name,
-			Type:   Type(b[pos+entryTypeOff]),
-			CompID: le.Uint64(b[pos+entryCompOff:]),
-			Offset: le.Uint32(b[pos+entryValOff:]),
-		})
-		pos += metaEntryFixed - 2
+		pos = next
+	}
+	sum := h.Sum64()
+	describes := func(s *Schema) bool { return s.describes(b, name, entries, card, m.DataSize) }
+	if m.Schema = interned.resolve(sum, describes, nil, false); m.Schema == nil {
+		s, err := buildSchema(b, name, entries, card, m.DataSize)
+		if err != nil {
+			return nil, fmt.Errorf("metric: set %q: %w: %v", m.Instance, ErrBadLayout, err)
+		}
+		s.hash = sum
+		m.Schema = interned.resolve(sum, s.Equal, s, false)
 	}
 	return m, nil
+}
+
+// describes reports whether the card entries at pos of a chunk ParseMeta
+// has walked spell out exactly this schema.
+func (s *Schema) describes(b, name []byte, pos, card, dataSize int) bool {
+	if string(name) != s.name || card != len(s.defs) || dataSize != s.dataSize {
+		return false
+	}
+	for i, d := range s.defs {
+		e, next, _ := nextEntry(b, pos)
+		if string(e.name) != d.Name || e.typ != d.Type || e.off != s.offsets[i] {
+			return false
+		}
+		pos = next
+	}
+	return true
+}
+
+// buildSchema builds the frozen schema the entries at pos of a chunk
+// ParseMeta has walked spell out, refusing what AddMetric refuses and
+// offsets or a data size other than the ones the types imply.
+func buildSchema(b, name []byte, pos, card, dataSize int) (*Schema, error) {
+	if card == 0 {
+		return nil, errors.New("no metrics")
+	}
+	s := &Schema{
+		name: string(name), dataSize: dataHeaderSize, index: make(map[string]int, card),
+		defs: make([]MetricDef, 0, card), offsets: make([]uint32, 0, card),
+	}
+	for i := 0; i < card; i++ {
+		e, next, _ := nextEntry(b, pos)
+		if _, err := s.AddMetric(string(e.name), e.typ); err != nil {
+			return nil, err
+		}
+		if s.offsets[i] != e.off {
+			return nil, fmt.Errorf("offset mismatch for %q: computed %d, remote %d", e.name, s.offsets[i], e.off)
+		}
+		pos = next
+	}
+	if s.dataSize != dataSize {
+		return nil, fmt.Errorf("data size mismatch: computed %d, remote %d", s.dataSize, dataSize)
+	}
+	s.frozen = true
+	return s, nil
 }
 
 // NewMirror builds a local mirror Set from parsed remote metadata, as the
@@ -181,33 +274,22 @@ func (m *Meta) NewMirror(opts ...Option) (*Set, error) {
 // convention: the mirror's directory entry, query series, and storage rows
 // all carry the qualified name while the remote MGN/DGN generations still
 // propagate verbatim.
+//
+// The mirror owns its two chunks and its change journal and shares the
+// canonical Schema, holding a reference on it until Delete.
 func (m *Meta) NewMirrorNamed(instance string, opts ...Option) (*Set, error) {
-	schema := NewSchema(m.SchemaName)
-	for _, mm := range m.Metrics {
-		idx, err := schema.AddMetric(mm.Name, mm.Type)
-		if err != nil {
-			return nil, fmt.Errorf("metric: mirror %q: %w", m.Instance, err)
-		}
-		if schema.offsets[idx] != mm.Offset {
-			return nil, fmt.Errorf("metric: mirror %q: offset mismatch for %q: computed %d, remote %d",
-				m.Instance, mm.Name, schema.offsets[idx], mm.Offset)
-		}
-	}
-	if schema.DataSize() != m.DataSize {
-		return nil, fmt.Errorf("metric: mirror %q: data size mismatch: computed %d, remote %d",
-			m.Instance, schema.DataSize(), m.DataSize)
-	}
-	s, err := New(instance, schema, opts...)
+	s, err := New(instance, m.Schema, opts...)
 	if err != nil {
 		return nil, err
 	}
+	s.schema = interned.resolve(m.Schema.hash, m.Schema.Equal, m.Schema, true)
 	s.local = false
 	// Stamp the remote MGN into the mirror's metadata and per-metric comp
 	// IDs so CompID and LoadData validation reflect the remote set.
 	le.PutUint64(s.meta[metaOffMGN:], m.MGN)
 	le.PutUint64(s.data[offMGN:], m.MGN)
-	for i, mm := range m.Metrics {
-		le.PutUint64(s.meta[s.entryOff[i]+entryCompOff:], mm.CompID)
+	for i, off := range s.entryOff {
+		le.PutUint64(s.meta[off+entryCompOff:], m.CompIDs[min(i, len(m.CompIDs)-1)])
 	}
 	// A fresh mirror holds no valid data yet.
 	le.PutUint64(s.data[offFlags:], 0)

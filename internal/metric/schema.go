@@ -15,7 +15,9 @@ type MetricDef struct {
 // Schema is the blueprint for a metric set: an ordered list of metric
 // definitions plus a schema name. A sampling plugin defines one schema and
 // every node instantiates a set from it, so all instances share metric
-// layout. Schemas are immutable once a Set has been created from them.
+// layout. Schemas are immutable once a Set has been created from them; the
+// one an aggregator's lookup resolves to (ParseMeta) is shared by every
+// mirror of that layout in the process.
 type Schema struct {
 	name     string
 	defs     []MetricDef
@@ -23,6 +25,11 @@ type Schema struct {
 	dataSize int      // total data chunk size including header
 	index    map[string]int
 	frozen   bool
+
+	// Intern bookkeeping (intern.go): the layout's hash under the table's
+	// seed, and the live mirrors holding the schema, guarded by the table.
+	hash uint64
+	refs int
 }
 
 // NewSchema returns an empty schema with the given name.
@@ -97,5 +104,27 @@ func (s *Schema) MetaSize(instance string) int {
 	return n
 }
 
-// freeze marks the schema immutable.
-func (s *Schema) freeze() { s.frozen = true }
+// Equal reports whether o describes the same layout: schema name and every
+// metric's name and type, in order (offsets and data size follow from those).
+func (s *Schema) Equal(o *Schema) bool {
+	if s == o {
+		return true
+	}
+	if s.name != o.name || len(s.defs) != len(o.defs) {
+		return false
+	}
+	for i, d := range s.defs {
+		if d != o.defs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// freeze marks the schema immutable. A frozen schema is not written again:
+// an interned one is already shared across goroutines.
+func (s *Schema) freeze() {
+	if !s.frozen {
+		s.frozen = true
+	}
+}

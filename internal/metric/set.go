@@ -124,11 +124,14 @@ func newMGN() uint64 {
 	return mgnCounter.Add(1)
 }
 
-// Delete releases the set's chunks back to its arena, if any. The set must
-// not be used afterwards.
+// Delete releases the set's chunks back to its arena, if any, and a mirror's
+// reference on its shared schema. The set must not be used afterwards.
 func (s *Set) Delete() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.local && s.meta != nil {
+		interned.release(s.schema)
+	}
 	if s.arena != nil {
 		s.arena.Free(s.meta)
 		s.arena.Free(s.data)

@@ -200,25 +200,17 @@ func TestMetaParseRoundTrip(t *testing.T) {
 	if m.Instance != "nid00042/lustre" {
 		t.Errorf("instance = %q", m.Instance)
 	}
-	if m.SchemaName != "meminfo" {
-		t.Errorf("schema = %q", m.SchemaName)
+	if m.Schema.Name() != "meminfo" {
+		t.Errorf("schema = %q", m.Schema.Name())
 	}
 	if m.MGN != set.MGN() {
 		t.Errorf("MGN = %d want %d", m.MGN, set.MGN())
 	}
-	if len(m.Metrics) != set.Card() {
-		t.Fatalf("card = %d want %d", len(m.Metrics), set.Card())
+	if !m.Schema.Equal(set.Schema()) || m.DataSize != set.DataSize() {
+		t.Errorf("parsed layout differs from the set's: %+v", m.Schema)
 	}
-	for i, mm := range m.Metrics {
-		if mm.Name != set.MetricName(i) {
-			t.Errorf("metric %d name %q want %q", i, mm.Name, set.MetricName(i))
-		}
-		if mm.Type != set.MetricType(i) {
-			t.Errorf("metric %d type %v want %v", i, mm.Type, set.MetricType(i))
-		}
-		if mm.CompID != 42 {
-			t.Errorf("metric %d comp id %d want 42", i, mm.CompID)
-		}
+	if len(m.CompIDs) != 1 || m.CompIDs[0] != 42 {
+		t.Errorf("comp ids = %v, want a uniform 42", m.CompIDs)
 	}
 }
 

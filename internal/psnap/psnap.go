@@ -11,20 +11,22 @@ package psnap
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
 // spinUnit is the calibrated work quantum. The accumulator defeats
-// dead-code elimination.
-var sink uint64
+// dead-code elimination; atomic because RunParallel spins on several
+// goroutines.
+var sink atomic.Uint64
 
 // spin performs n units of busy work.
 func spin(n int) {
-	acc := sink
+	acc := sink.Load()
 	for i := 0; i < n; i++ {
 		acc = acc*2862933555777941757 + 3037000493
 	}
-	sink = acc
+	sink.Store(acc)
 }
 
 // Calibrate determines how many spin units take approximately target on

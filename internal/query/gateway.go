@@ -40,8 +40,10 @@ type ProducerHealth struct {
 	Stale             bool      `json:"stale"`
 	// Sets counts the metric sets currently mirrored from this producer,
 	// summed across updaters — the fan-in contribution of one downstream
-	// daemon in a tiered topology.
-	Sets int `json:"sets"`
+	// daemon in a tiered topology. Unmirrored counts the matched sets that
+	// have no mirror (no set memory left, bad metadata): a partial fleet.
+	Sets       int `json:"sets"`
+	Unmirrored int `json:"unmirrored,omitempty"`
 	// Updates and DeltaUpdates count completed data pulls over this
 	// producer's connection and how many of them were answered with a
 	// delta; BytesPerSample is inbound wire bytes per completed pull, the
@@ -667,19 +669,23 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports daemon liveness plus per-producer staleness and
-// per-storage-policy failures; a stale producer or a failed store policy
-// degrades the response to 503 so orchestration probes and external
-// failover watchdogs (paper §IV-B) can react.
+// per-storage-policy failures; a stale producer, a producer with matched
+// sets it cannot mirror, or a failed store policy degrades the response to
+// 503 so orchestration probes and external failover watchdogs (paper §IV-B)
+// can react.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	var producers []ProducerHealth
 	if g.Health != nil {
 		producers = g.Health()
 	}
-	var stale []string
+	var stale, partial []string
 	for _, p := range producers {
 		if p.Stale {
 			stale = append(stale, p.Name)
+		}
+		if p.Unmirrored > 0 {
+			partial = append(partial, p.Name)
 		}
 	}
 	var stores []StoreHealth
@@ -693,7 +699,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	code := http.StatusOK
-	if len(stale) > 0 || len(failedStores) > 0 {
+	if len(stale) > 0 || len(partial) > 0 || len(failedStores) > 0 {
 		status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
@@ -713,6 +719,9 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(stale) > 0 {
 		resp["stale"] = stale
+	}
+	if len(partial) > 0 {
+		resp["unmirrored"] = partial
 	}
 	if len(failedStores) > 0 {
 		resp["failed_stores"] = failedStores
@@ -748,7 +757,7 @@ func (g *Gateway) handleExposition(w http.ResponseWriter, r *http.Request) {
 		e.Gauge("ldmsd_window_sets", "Set instances tracked by the recent window.", self, float64(ws.SeriesSets))
 		e.Gauge("ldmsd_window_series", "Metric series tracked by the recent window.", self, float64(ws.Series))
 		e.Gauge("ldmsd_window_points", "Samples currently retained across all window series.", self, float64(ws.Points))
-		e.Gauge("ldmsd_window_bytes", "Window storage footprint: timestamp columns, value matrices, sealed blocks, shared directories.", self, float64(ws.Bytes))
+		e.Gauge("ldmsd_window_bytes", "Window storage footprint: timestamp columns, value matrices, sealed blocks.", self, float64(ws.Bytes))
 		e.Gauge("ldmsd_window_shards", "Lock stripes over the window set index.", self, float64(g.Window.Shards()))
 		compressed := 0.0
 		if g.Window.Compressed() {

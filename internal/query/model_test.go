@@ -147,7 +147,7 @@ func sameSeries(a, b []Series) error {
 	return nil
 }
 
-// modelSets: two instances share "wide" (one directory between them),
+// modelSets: two instances share the layout "wide" (a Schema object each),
 // "narrow" stands alone and has the metric name "v" in common with it.
 func modelSets(t *testing.T) []*metric.Set {
 	wide := func() *metric.Schema {
@@ -343,12 +343,6 @@ func runWindowModel(t *testing.T, seed int64, points int) {
 		st := w.Stats()
 		if st.SeriesSets != len(ref.sets) {
 			t.Errorf("%s window tracks %d sets, model %d", name, st.SeriesSets, len(ref.sets))
-		}
-		w.dirMu.Lock()
-		dirs := len(w.dirs)
-		w.dirMu.Unlock()
-		if dirs > 2 {
-			t.Errorf("%s window holds %d directories for 2 schemas", name, dirs)
 		}
 	}
 }

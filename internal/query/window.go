@@ -21,7 +21,6 @@ package query
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,9 +73,6 @@ type Window struct {
 	compress  bool
 
 	shards []windowShard
-
-	dirMu sync.Mutex
-	dirs  []*directory // the metric lists the window's sets share
 
 	observed   atomic.Int64 // samples recorded
 	skipped    atomic.Int64 // samples dropped (inconsistent or DGN-stale)
@@ -155,77 +151,17 @@ func (w *Window) Compressed() bool { return w.compress }
 // Shards returns the set-index lock-stripe count.
 func (w *Window) Shards() int { return len(w.shards) }
 
-// directory is one schema's metric list: names, types and the name index.
-// Every set block whose set carries the same schema name and an identical
-// metric list points at the same directory, so a fleet of 1,000 instances
-// of one sampler holds one name index, not 1,000.
-type directory struct {
-	schema string
-	names  []string
-	types  []metric.Type
-	index  map[string]int
-	refs   int // set blocks pointing here; guarded by Window.dirMu
-}
-
-// matches reports whether set carries exactly this schema name and list.
-func (d *directory) matches(set *metric.Set) bool {
-	if set.SchemaName() != d.schema || set.Card() != len(d.names) {
-		return false
-	}
-	for i, name := range d.names {
-		if set.MetricName(i) != name || set.MetricType(i) != d.types[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dirFor returns the shared directory for set's metric list, building it
-// on first sight, and takes one reference on it. Distinct lists are few
-// (one per sampler plugin), so they are kept in a plain slice.
-func (w *Window) dirFor(set *metric.Set) *directory {
-	w.dirMu.Lock()
-	defer w.dirMu.Unlock()
-	for _, d := range w.dirs {
-		if d.matches(set) {
-			d.refs++
-			return d
-		}
-	}
-	card := set.Card()
-	d := &directory{
-		schema: set.SchemaName(),
-		names:  make([]string, card),
-		types:  make([]metric.Type, card),
-		index:  make(map[string]int, card),
-		refs:   1,
-	}
-	for i := range d.names {
-		d.names[i] = set.MetricName(i)
-		d.types[i] = set.MetricType(i)
-		d.index[d.names[i]] = i
-	}
-	w.dirs = append(w.dirs, d)
-	return d
-}
-
-// releaseDir drops one reference; the last one out removes the directory.
-func (w *Window) releaseDir(d *directory) {
-	w.dirMu.Lock()
-	defer w.dirMu.Unlock()
-	if d.refs--; d.refs == 0 {
-		w.dirs = slices.DeleteFunc(w.dirs, func(x *directory) bool { return x == d })
-	}
-}
-
 // setSeries is one set instance's recent history: the set block (every
 // retained sample of every metric) plus, in compressed mode, the sealed
 // blocks behind it.
 type setSeries struct {
 	instance string
 	comp     uint64
-	dir      *directory
-	layout   *metric.Schema // the Schema last checked against dir; guarded by the shard lock
+	// schema is the block's directory: metric names, types and the name
+	// index. Mirrors of one layout share it (metric.ParseMeta), so a fleet
+	// of 1,000 instances of one sampler holds one.
+	schema *metric.Schema
+	layout *metric.Schema // the Schema last found equal to schema; guarded by the shard lock
 
 	mu      sync.Mutex
 	head    block
@@ -359,32 +295,29 @@ func (w *Window) Observe(set *metric.Set) {
 	}
 }
 
-// seriesFor returns the set's series block, creating it if needed. A
-// block is checked against a set's metric list once per Schema object: a
-// rebuilt mirror (its producer restarted) or the other half of a failover
-// pair arrives under the same name with a Schema of its own, and continues
-// the series if the list is the same; under another list it is a new set
-// and starts a new block, so a row never mixes two layouts.
+// seriesFor returns the set's series block, creating it if needed. The
+// block is the set's while their schemas are the same pointer, which mirrors
+// of one layout share however often they are rebuilt. A set that arrives
+// under the name with another Schema object (a re-created local set)
+// continues the series if the layout is equal; under another layout it is a
+// new set and starts a new block, so a row never mixes two layouts.
 func (w *Window) seriesFor(set *metric.Set) *setSeries {
-	name, layout := set.Name(), set.Schema()
+	name, schema := set.Name(), set.Schema()
 	sh := w.shardFor(name)
 	sh.mu.RLock()
 	ss := sh.sets[name]
-	known := ss != nil && ss.layout == layout
+	known := ss != nil && ss.layout == schema
 	sh.mu.RUnlock()
 	if known {
 		return ss
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if ss = sh.sets[name]; ss != nil {
-		if ss.layout == layout || ss.dir.matches(set) {
-			ss.layout = layout
-			return ss
-		}
-		w.releaseDir(ss.dir)
+	if ss = sh.sets[name]; ss != nil && ss.schema.Equal(schema) {
+		ss.layout = schema
+		return ss
 	}
-	ss = &setSeries{instance: name, comp: set.CompID(0), dir: w.dirFor(set), layout: layout}
+	ss = &setSeries{instance: name, comp: set.CompID(0), schema: schema, layout: schema}
 	if w.compress {
 		ss.head = newBlock(blockPoints, set.Card())
 		ss.sealed = newSealedRing(w.points, set.Card())
@@ -395,18 +328,13 @@ func (w *Window) seriesFor(set *metric.Set) *setSeries {
 	return ss
 }
 
-// Forget drops the named set's series (the set left the directory) and its
-// reference on the shared directory. Queries issued concurrently finish
-// against the old block.
+// Forget drops the named set's series (the set left the directory). Queries
+// issued concurrently finish against the old block.
 func (w *Window) Forget(instance string) {
 	sh := w.shardFor(instance)
 	sh.mu.Lock()
-	ss := sh.sets[instance]
 	delete(sh.sets, instance)
 	sh.mu.Unlock()
-	if ss != nil {
-		w.releaseDir(ss.dir)
-	}
 }
 
 // Point is one sample of a series as served to consumers.
@@ -442,7 +370,7 @@ func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series
 
 	var out []Series
 	for _, ss := range w.blocks() {
-		col, ok := ss.dir.index[metricName]
+		col, ok := ss.schema.Lookup(metricName)
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
@@ -461,10 +389,10 @@ func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series
 func (ss *setSeries) series(col int, pts []Point) Series {
 	return Series{
 		Instance: ss.instance,
-		Schema:   ss.dir.schema,
-		Metric:   ss.dir.names[col],
+		Schema:   ss.schema.Name(),
+		Metric:   ss.schema.Def(col).Name,
 		CompID:   ss.comp,
-		Type:     ss.dir.types[col],
+		Type:     ss.schema.Def(col).Type,
 		Points:   pts,
 	}
 }
@@ -473,7 +401,7 @@ func (ss *setSeries) series(col int, pts []Point) Series {
 // first, or nil when there are none. Both storages serve the newest
 // points samples and no more. Caller holds the series lock.
 func (ss *setSeries) cut(col int, since int64, points int) []Point {
-	t := ss.dir.types[col]
+	t := ss.schema.Def(col).Type
 	if ss.sealed == nil {
 		last := ss.head.newestSince(since, ss.head.n)
 		if last == 0 {
@@ -496,14 +424,14 @@ func (w *Window) Latest(metricName string, comp uint64) []Series {
 	w.queries.Add(1)
 	var out []Series
 	for _, ss := range w.blocks() {
-		col, ok := ss.dir.index[metricName]
+		col, ok := ss.schema.Lookup(metricName)
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
 		ss.mu.Lock()
 		// Sealing never empties the head, so the newest sample is its
 		// newest row in both storages.
-		pts := ss.head.appendSince(nil, col, math.MinInt64, ss.dir.types[col], min(ss.head.n, 1))
+		pts := ss.head.appendSince(nil, col, math.MinInt64, ss.schema.Def(col).Type, min(ss.head.n, 1))
 		ss.mu.Unlock()
 		if len(pts) > 0 {
 			out = append(out, ss.series(col, pts))
@@ -516,13 +444,16 @@ func (w *Window) Latest(metricName string, comp uint64) []Series {
 // MetricNames lists every metric name present in the window, sorted.
 func (w *Window) MetricNames() []string {
 	seen := make(map[string]bool)
-	w.dirMu.Lock()
-	for _, d := range w.dirs {
-		for _, n := range d.names {
-			seen[n] = true
+	walked := make(map[*metric.Schema]bool) // a fleet's blocks share a few schemas
+	for _, ss := range w.blocks() {
+		if walked[ss.schema] {
+			continue
+		}
+		walked[ss.schema] = true
+		for i := 0; i < ss.schema.Card(); i++ {
+			seen[ss.schema.Def(i).Name] = true
 		}
 	}
-	w.dirMu.Unlock()
 	names := make([]string, 0, len(seen))
 	for n := range seen {
 		names = append(names, n)
@@ -550,22 +481,16 @@ type WindowStats struct {
 	SeriesSets int   // set instances tracked
 	Series     int   // individual metric series
 	Points     int64 // samples currently retained across all series
-	Bytes      int64 // storage footprint: timestamp columns, matrices, sealed blocks, directories
+	Bytes      int64 // storage footprint: timestamp columns, matrices, sealed blocks
 	Observed   int64 // samples recorded
 	Skipped    int64 // samples dropped (inconsistent / stale DGN)
 	Queries    int64 // Query/Latest calls served
 	Aggregates int64 // Aggregate calls served
 }
 
-// dirEntryBytes is what one metric costs a directory: its name's string
-// header, its type byte and its slot in the name index (key header, value
-// and the map's own bookkeeping at its usual load). The name bytes
-// themselves belong to the set's schema.
-const dirEntryBytes = 16 + 1 + 48
-
 // Stats returns the window's counters. Points and Bytes take each set
 // block's mutex briefly; Bytes counts every timestamp column, value
-// matrix and sealed buffer, and each shared directory once.
+// matrix and sealed buffer (names and types are the sets' schemas').
 func (w *Window) Stats() WindowStats {
 	st := WindowStats{
 		Observed:   w.observed.Load(),
@@ -586,10 +511,5 @@ func (w *Window) Stats() WindowStats {
 		ss.mu.Unlock()
 		st.Points += int64(retained * ss.head.card)
 	}
-	w.dirMu.Lock()
-	for _, d := range w.dirs {
-		st.Bytes += int64(len(d.names) * dirEntryBytes)
-	}
-	w.dirMu.Unlock()
 	return st
 }

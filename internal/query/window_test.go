@@ -524,18 +524,14 @@ func TestObserveAllocs(t *testing.T) {
 }
 
 // TestWindowStatsBytes pins the footprint the set block is for: 8 bytes of
-// matrix per point, one timestamp per sample shared by the whole set, and
-// one directory per schema shared by the whole fleet — against 16 bytes a
-// point when every metric kept (timestamp, value) pairs of its own. By
-// arithmetic that is 8 + 8/card plus the directory's share, so the bound
-// tightens with card: 8.5 B/point from 18 metrics up (ldmsd_self's card).
+// matrix per point and one timestamp per sample shared by the whole set —
+// 8 + 8/card by arithmetic, against 16 bytes a point when every metric kept
+// (timestamp, value) pairs of its own. Names, types and the name index are
+// the sets' schemas', not the window's.
 func TestWindowStatsBytes(t *testing.T) {
 	const fleet = 32
-	for _, tc := range []struct {
-		card, points int
-		bound        float64
-	}{
-		{16, 64, 8.55}, {18, 64, 8.5}, {64, 64, 8.2}, {512, 64, 8.1}, {18, 1024, 8.5}, {64, 1024, 8.2},
+	for _, tc := range []struct{ card, points int }{
+		{16, 64}, {18, 64}, {64, 64}, {512, 64}, {18, 1024}, {64, 1024},
 	} {
 		w := NewWindowOpts(WindowOptions{Points: tc.points})
 		for p := 0; p < fleet; p++ {
@@ -547,41 +543,52 @@ func TestWindowStatsBytes(t *testing.T) {
 		if st.SeriesSets != fleet || st.Series != fleet*tc.card {
 			t.Fatalf("card %d: stats %+v", tc.card, st)
 		}
-		perPoint := float64(st.Bytes) / float64(st.Series*tc.points)
-		if perPoint > tc.bound || perPoint < 8 {
-			t.Errorf("card %d, %d points: %.3f B/point, want within [8, %.2f]", tc.card, tc.points, perPoint, tc.bound)
-		}
-		// The fleet shares one directory, and Bytes counts it once.
-		one := NewWindowOpts(WindowOptions{Points: tc.points})
-		set := wideSet(t, "n00/wide", tc.card)
-		wideSample(set, 0)
-		one.Observe(set)
-		storage := int64(8 * tc.points * (tc.card + 1))
-		dir := one.Stats().Bytes - storage
-		if dir <= 0 || st.Bytes != fleet*storage+dir {
-			t.Errorf("card %d: fleet of %d reports %d B, want %d x %d storage + one %d B directory",
-				tc.card, fleet, st.Bytes, fleet, storage, dir)
+		if want := int64(fleet * 8 * tc.points * (tc.card + 1)); st.Bytes != want {
+			t.Errorf("card %d, %d points: fleet of %d reports %d B, want %d (%.3f B/point)",
+				tc.card, tc.points, fleet, st.Bytes, want, float64(want)/float64(st.Series*tc.points))
 		}
 	}
 }
 
-// TestWindowSharedDirectory pins what sets share and when it is let go:
-// same schema name and metric list, one directory; a different list under
-// the same schema name, its own; the last Forget frees it.
+// mirrorOf mirrors src the way an aggregator does, through its metadata
+// chunk, and loads its current sample.
+func mirrorOf(t testing.TB, src *metric.Set) *metric.Set {
+	t.Helper()
+	m, err := metric.ParseMeta(src.MetaBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mir, err := m.NewMirror()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mir.LoadData(src.DataSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mir.Delete)
+	return mir
+}
+
+// TestWindowSharedDirectory pins what a block's directory is: its set's
+// schema. Mirrors of one layout share one, whatever Schema objects their
+// sources had; a different list under the same schema name has its own; and
+// the window keeps nothing of a layout once its last set is forgotten.
 func TestWindowSharedDirectory(t *testing.T) {
 	w := NewWindow(8, time.Hour)
-	dirs := func() int {
-		w.dirMu.Lock()
-		defer w.dirMu.Unlock()
-		return len(w.dirs)
+	schemas := func() int {
+		distinct := make(map[*metric.Schema]bool)
+		for _, ss := range w.blocks() {
+			distinct[ss.schema] = true
+		}
+		return len(distinct)
 	}
 	for i, card := range []int{4, 4, 4, 5} {
-		set := wideSet(t, fmt.Sprintf("n%d/wide", i), card)
-		wideSample(set, 0)
-		w.Observe(set)
+		src := wideSet(t, fmt.Sprintf("n%d/wide", i), card)
+		wideSample(src, 0)
+		w.Observe(mirrorOf(t, src))
 	}
-	if got := dirs(); got != 2 {
-		t.Fatalf("%d directories for two metric lists", got)
+	if got := schemas(); got != 2 {
+		t.Fatalf("%d schemas for two metric lists", got)
 	}
 	if got := w.Latest("m003", 0); len(got) != 4 {
 		t.Fatalf("m003 served by %d of 4 sets", len(got))
@@ -590,18 +597,18 @@ func TestWindowSharedDirectory(t *testing.T) {
 		t.Fatalf("m004 = %+v, want only the 5-metric set", got)
 	}
 	w.Forget("n3/wide")
-	w.Forget("n3/wide") // forgetting twice must not release twice
+	w.Forget("n3/wide")
 	w.Forget("n0/wide")
-	if got := dirs(); got != 1 {
-		t.Fatalf("%d directories after the 5-metric set left", got)
+	if got := schemas(); got != 1 {
+		t.Fatalf("%d schemas after the 5-metric set left", got)
 	}
 	if names := w.MetricNames(); len(names) != 4 {
 		t.Fatalf("MetricNames = %v after the 5-metric set left", names)
 	}
 	w.Forget("n1/wide")
 	w.Forget("n2/wide")
-	if got := dirs(); got != 0 {
-		t.Fatalf("%d directories in an empty window", got)
+	if st := w.Stats(); st.SeriesSets != 0 || st.Bytes != 0 || len(w.MetricNames()) != 0 {
+		t.Fatalf("an empty window reports %+v, names %v", st, w.MetricNames())
 	}
 }
 

@@ -168,7 +168,7 @@ type output struct {
 // produced from them.
 type group struct {
 	schema  string
-	names   []string
+	layout  *metric.Schema // the first member's; mirrors of one layout share it
 	types   []metric.Type
 	members map[string]*member
 	order   []*member // sorted by member name
@@ -290,7 +290,7 @@ func (r *Reducer) AddMember(source string, set *metric.Set) ([]*metric.Set, erro
 		return nil, err
 	}
 
-	card := len(g.names)
+	card := len(g.types)
 	m := &member{
 		name: source,
 		set:  set,
@@ -424,7 +424,7 @@ func (r *Reducer) newGroup(src *metric.Set) (*group, []*metric.Set, error) {
 	card := src.Card()
 	g := &group{
 		schema:  src.SchemaName(),
-		names:   make([]string, card),
+		layout:  src.Schema(),
 		types:   make([]metric.Type, card),
 		members: make(map[string]*member),
 		vals:    make([]metric.Value, card),
@@ -435,16 +435,15 @@ func (r *Reducer) newGroup(src *metric.Set) (*group, []*metric.Set, error) {
 		accR:    make([]float64, card),
 		accLast: make([]metric.Value, card),
 	}
-	for i := 0; i < card; i++ {
-		g.names[i] = src.MetricName(i)
+	for i := range g.types {
 		g.types[i] = src.MetricType(i)
 	}
 
 	var created []*metric.Set
 	for _, op := range r.cfg.Ops {
 		sch := metric.NewSchema(g.schema + "_" + op.String())
-		for i := range g.names {
-			sch.MustAddMetric(g.names[i], outputType(op, g.types[i]))
+		for i, t := range g.types {
+			sch.MustAddMetric(src.MetricName(i), outputType(op, t))
 		}
 		countIdx := -1
 		if _, taken := sch.Lookup(countMetric); !taken {
@@ -464,16 +463,21 @@ func (r *Reducer) newGroup(src *metric.Set) (*group, []*metric.Set, error) {
 	return g, created, nil
 }
 
-// congruent verifies a candidate member set matches the group's layout.
+// congruent verifies a candidate member set matches the group's layout: by
+// pointer for mirrors, which share their layout's one Schema, and metric by
+// metric for a set that brings a Schema object of its own.
 func (g *group) congruent(set *metric.Set) error {
-	if set.Card() != len(g.names) {
-		return fmt.Errorf("tier: schema %q: member has %d metrics, group has %d",
-			g.schema, set.Card(), len(g.names))
+	if set.Schema() == g.layout {
+		return nil
 	}
-	for i := range g.names {
-		if set.MetricName(i) != g.names[i] || set.MetricType(i) != g.types[i] {
+	if set.Card() != len(g.types) {
+		return fmt.Errorf("tier: schema %q: member has %d metrics, group has %d",
+			g.schema, set.Card(), len(g.types))
+	}
+	for i := range g.types {
+		if d := g.layout.Def(i); set.MetricName(i) != d.Name || set.MetricType(i) != d.Type {
 			return fmt.Errorf("tier: schema %q: metric %d is %s %s, group has %s %s",
-				g.schema, i, set.MetricType(i), set.MetricName(i), g.types[i], g.names[i])
+				g.schema, i, set.MetricType(i), set.MetricName(i), d.Type, d.Name)
 		}
 	}
 	return nil
@@ -481,7 +485,7 @@ func (g *group) congruent(set *metric.Set) error {
 
 // fold recomputes one group's reduced sets, appending results to out.
 func (g *group) fold(out []Folded) []Folded {
-	card := len(g.names)
+	card := len(g.types)
 	contrib := 0
 	var maxTS, lastTS time.Time
 	var newest string

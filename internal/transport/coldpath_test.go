@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"goldms/internal/metric"
 )
 
 // dialSockAndMem serves reg over both transports and returns a pulling
@@ -88,7 +91,7 @@ func TestLookupBatchPerOpErrors(t *testing.T) {
 		}
 		sm, mm := s.Set.Meta(), m.Set.Meta()
 		if sm.Instance != mm.Instance || sm.MGN != mm.MGN || sm.DataSize != mm.DataSize ||
-			sm.SchemaName != mm.SchemaName || len(sm.Metrics) != len(mm.Metrics) {
+			sm.Schema != mm.Schema {
 			t.Errorf("op %d: sock meta %+v, mem meta %+v", i, sm, mm)
 		}
 	}
@@ -387,5 +390,106 @@ func TestPullOfDeletedSet(t *testing.T) {
 				t.Errorf("%s ack=%v: the surviving set's pull: n=%d err=%v", xprt, ack, ops[1].N, ops[1].Err)
 			}
 		}
+	}
+}
+
+// TestInternSharesAcrossConns: sets of one layout resolve to one *Schema
+// whichever connection, transport or producer their metadata arrived over
+// (every set here has a Schema object of its own at its source), and a
+// different metric list under the same schema name resolves to another. The
+// mirrors share it too, and deltas apply under it.
+func TestInternSharesAcrossConns(t *testing.T) {
+	const perConn = 64
+	registry := func(prefix string) *metric.Registry {
+		reg := metric.NewRegistry()
+		for i := 0; i <= perConn; i++ {
+			sch := metric.NewSchema("synth")
+			for m := 0; m < 8; m++ {
+				sch.MustAddMetric(fmt.Sprintf("m%d", m), metric.TypeU64)
+			}
+			if i == perConn { // the odd one out: same schema name, one metric more
+				sch.MustAddMetric("extra", metric.TypeU64)
+			}
+			set, err := metric.New(fmt.Sprintf("%s/set%02d", prefix, i), sch, metric.WithCompID(uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.BeginTransaction()
+			set.SetU64(0, uint64(i))
+			set.EndTransaction(time.Unix(1000, 0))
+			if err := reg.Add(set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reg
+	}
+	mem := MemFactory{Net: NewNetwork()}
+	ctx := context.Background()
+	var common, odd *metric.Schema
+	for _, c := range []struct {
+		name string
+		fac  Factory
+		addr string
+	}{{"sockA", SockFactory{}, "127.0.0.1:0"}, {"sockB", SockFactory{}, "127.0.0.1:0"}, {"mem", mem, "leaf"}} {
+		reg := registry(c.name)
+		ln, err := c.fac.Listen(c.addr, NewServer(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		conn, err := c.fac.Dial(ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		names, err := conn.Dir(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lops := make([]LookupOp, len(names))
+		for i, n := range names {
+			lops[i].Name = n
+		}
+		LookupAll(ctx, conn, lops)
+		ops := make([]UpdateOp, len(lops))
+		for i, lop := range lops {
+			if lop.Err != nil {
+				t.Fatalf("%s: lookup %s: %v", c.name, lop.Name, lop.Err)
+			}
+			meta := lop.Set.Meta()
+			mir, err := meta.NewMirror()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mir.Delete()
+			want := &common
+			if i == perConn {
+				want = &odd
+			}
+			if *want == nil {
+				*want = meta.Schema
+			}
+			if meta.Schema != *want || mir.Schema() != *want {
+				t.Fatalf("%s: %s resolved to schema %p (mirror %p), want %p", c.name, lop.Name, meta.Schema, mir.Schema(), *want)
+			}
+			if got := mir.CompID(0); got != uint64(i) {
+				t.Errorf("%s: %s mirror carries component id %d, want its own %d", c.name, lop.Name, got, i)
+			}
+			ops[i] = UpdateOp{Set: lop.Set, Dst: make([]byte, meta.DataSize)}
+		}
+		UpdateAll(ctx, conn, ops) // full chunks, then deltas under the shared schema
+		for i := range ops {
+			ops[i].AckDGN, ops[i].HaveAck = wireLE.Uint64(ops[i].Dst[8:]), true // the chunk header's DGN
+			reg.Get(lops[i].Name).SetU64(1, 7)
+		}
+		UpdateAll(ctx, conn, ops)
+		for i, op := range ops {
+			if op.Err != nil || !op.WasDelta {
+				t.Fatalf("%s: delta pull of %s: err %v, delta %v", c.name, lops[i].Name, op.Err, op.WasDelta)
+			}
+		}
+	}
+	if common == odd {
+		t.Fatal("a different metric list under the same schema name shares the schema")
 	}
 }

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -14,10 +14,9 @@ import (
 // up-front allocation — readPayload grows incrementally, so a lying header
 // on a short stream fails after at most one chunk).
 func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	writeFrame(&seed, msgDirResp, 7, []byte("hello"))
-	f.Add(seed.Bytes())
-	f.Add(seed.Bytes()[:3])
+	seed := appendFrame(nil, msgDirResp, 7, []byte("hello"))
+	f.Add(seed)
+	f.Add(seed[:3])
 	huge := make([]byte, frameHeader)
 	wireLE.PutUint32(huge, 1<<30)
 	f.Add(huge)
@@ -25,8 +24,11 @@ func FuzzReadFrame(f *testing.F) {
 	wireLE.PutUint32(lying, maxFrame) // in-bounds length, truncated body
 	f.Add(lying)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, _, payload, err := readFrame(bytes.NewReader(data))
+		typ, _, payload, err := readFrameBytes(data)
 		if err != nil {
+			if len(data) > 0 && len(data) < frameHeader && err != io.ErrUnexpectedEOF {
+				t.Fatalf("stream ending inside a header: %v, want %v", err, io.ErrUnexpectedEOF)
+			}
 			return
 		}
 		if len(payload) > len(data) {

@@ -64,7 +64,7 @@ func exerciseTransport(t *testing.T, f Factory, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Meta().Instance != "set01" || rs.Meta().SchemaName != "schema01" {
+	if rs.Meta().Instance != "set01" || rs.Meta().Schema.Name() != "schema01" {
 		t.Fatalf("meta = %+v", rs.Meta())
 	}
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -121,21 +122,15 @@ func growTo(b []byte, n int) []byte {
 	return nb
 }
 
-// writeFrame sends one frame. Callers serialize access to w.
-func writeFrame(w io.Writer, typ byte, reqID uint64, payload []byte) error {
-	var hdr [frameHeader]byte
-	wireLE.PutUint32(hdr[0:], uint32(len(payload)))
-	hdr[4] = typ
-	wireLE.PutUint64(hdr[5:], reqID)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// writeFrame sends one frame. Callers serialize access to w. The header is
+// built in the writer's own free space, so a frame costs no allocation.
+func writeFrame(w *bufio.Writer, typ byte, reqID uint64, payload []byte) error {
+	hdr := wireLE.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	hdr = wireLE.AppendUint64(append(hdr, typ), reqID)
+	//ldms:errok a bufio.Writer's error sticks: the payload write returns it
+	w.Write(hdr)
+	_, err := w.Write(payload)
+	return err
 }
 
 // frameReadChunk is the largest buffer readFrame allocates before any
@@ -180,18 +175,23 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // readFrame receives one frame. The returned type still carries the
 // compression flag, if any; callers pass it through maybeInflate before
-// dispatching.
-func readFrame(r io.Reader) (typ byte, reqID uint64, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// dispatching. The header is read in place in r's buffer (a stream ending
+// inside it is io.ErrUnexpectedEOF, as io.ReadFull called it).
+func readFrame(r *bufio.Reader) (typ byte, reqID uint64, payload []byte, err error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, nil, err
 	}
 	n := wireLE.Uint32(hdr[0:])
 	if n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	typ = hdr[4]
-	reqID = wireLE.Uint64(hdr[5:])
+	typ, reqID = hdr[4], wireLE.Uint64(hdr[5:])
+	//ldms:errok Discard of bytes Peek just returned cannot fail
+	r.Discard(frameHeader)
 	if n > 0 {
 		// Recycled via putBuf once the payload is consumed (request payloads
 		// after dispatch, update response payloads after the copy to dst).

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -11,10 +12,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	f := func(typ byte, id uint64, payload []byte) bool {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, id, payload); err != nil {
+		w := bufio.NewWriterSize(&buf, 16) // a header rarely fits what is left
+		if err := writeFrame(w, typ, id, payload); err != nil || w.Flush() != nil {
 			return false
 		}
-		gt, gid, gp, err := readFrame(&buf)
+		if !bytes.Equal(buf.Bytes(), appendFrame(nil, typ, id, payload)) {
+			return false
+		}
+		gt, gid, gp, err := readFrameBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -25,13 +30,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// readFrameBytes reads one frame off a stream holding exactly b.
+func readFrameBytes(b []byte) (byte, uint64, []byte, error) {
+	return readFrame(bufio.NewReader(bytes.NewReader(b)))
+}
+
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	writeFrame(&buf, msgDirReq, 1, []byte("hello"))
-	full := buf.Bytes()
+	full := appendFrame(nil, msgDirReq, 1, []byte("hello"))
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, _, err := readFrame(bytes.NewReader(full[:cut])); err == nil {
+		_, _, _, err := readFrameBytes(full[:cut])
+		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+		// A stream that ends between frames is a clean EOF; inside a header
+		// it is what io.ReadFull called it.
+		if want := io.ErrUnexpectedEOF; cut > 0 && cut < frameHeader && err != want {
+			t.Fatalf("truncation at %d inside the header: %v, want %v", cut, err, want)
+		}
+		if cut == 0 && err != io.EOF {
+			t.Fatalf("empty stream: %v, want io.EOF", err)
 		}
 	}
 }
@@ -39,7 +56,7 @@ func TestReadFrameTruncated(t *testing.T) {
 func TestReadFrameOversizedLength(t *testing.T) {
 	hdr := make([]byte, frameHeader)
 	wireLE.PutUint32(hdr, 1<<30) // absurd length word
-	if _, _, _, err := readFrame(bytes.NewReader(hdr)); err == nil {
+	if _, _, _, err := readFrameBytes(hdr); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -47,7 +64,7 @@ func TestReadFrameOversizedLength(t *testing.T) {
 func TestReadFrameGarbage(t *testing.T) {
 	// Random bytes must never panic; errors are fine.
 	f := func(junk []byte) bool {
-		readFrame(bytes.NewReader(junk))
+		readFrameBytes(junk)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -113,11 +130,18 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteFrameErrors(t *testing.T) {
-	if err := writeFrame(&errWriter{n: 2}, 1, 1, []byte("x")); err == nil {
+	// A header that does not fit what the buffer has left flushes on the way.
+	w := bufio.NewWriterSize(&errWriter{n: 2}, 16)
+	w.WriteString("0123456789")
+	if err := writeFrame(w, 1, 1, []byte("x")); err == nil {
 		t.Error("header write error swallowed")
 	}
-	if err := writeFrame(&errWriter{n: frameHeader}, 1, 1, []byte("x")); err == nil {
+	w = bufio.NewWriterSize(&errWriter{n: frameHeader}, 16)
+	if err := writeFrame(w, 1, 1, make([]byte, 64)); err == nil {
 		t.Error("payload write error swallowed")
+	}
+	if err := writeFrame(w, 1, 2, nil); err == nil {
+		t.Error("frame accepted by a writer that already failed")
 	}
 }
 
