@@ -786,10 +786,10 @@ func (d *Daemon) cmdStrgpStatus() (string, error) {
 			overflow = "block"
 		}
 		line := fmt.Sprintf(
-			"name=%s plugin=%s schema=%s state=%s rows=%d enqueued=%d dropped=%d batches=%d queue=%d/%d batch_max=%d overflow=%s flush_interval=%s flushes=%d store_us=%d flush_us=%d",
+			"name=%s plugin=%s schema=%s state=%s rows=%d enqueued=%d dropped=%d batches=%d queue=%d/%d queue_peak=%d batch_max=%d overflow=%s flush_interval=%s flushes=%d store_us=%d flush_us=%d",
 			sp.Name(), sp.Plugin(), sp.Schema(), state,
 			c.Rows, c.Enqueued, c.Dropped, c.Batches,
-			c.QueueDepth, c.QueueCap, sp.batchMax, overflow, sp.flushEvery,
+			c.QueueDepth, c.QueueCap, c.QueuePeak, sp.batchMax, overflow, sp.flushEvery,
 			c.Flushes, c.StoreNanos/1000, c.FlushNanos/1000)
 		if err := sp.Err(); err != nil {
 			line += fmt.Sprintf(" err=%q", err.Error())

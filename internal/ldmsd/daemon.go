@@ -121,6 +121,8 @@ type Daemon struct {
 	// strgpList is the lock-free snapshot of storage policies the pull
 	// path fans fresh samples out to; rebuilt when a policy is added.
 	strgpList atomic.Pointer[[]*StoragePolicy]
+	// storeHolds counts steady pulls holding the store drain (holdStores).
+	storeHolds atomic.Int32
 }
 
 // DefaultMemory is the default metric-set memory budget. The paper reports

@@ -320,6 +320,7 @@ func (d *Daemon) collectSelfMetrics(e *query.Expo) {
 		e.Counter("ldmsd_store_dropped_total", "Samples lost to queue overflow or a failed policy.", l, float64(c.Dropped))
 		e.Counter("ldmsd_store_batches_total", "Batched store-plugin calls issued by the drain worker.", l, float64(c.Batches))
 		e.Gauge("ldmsd_store_queue_depth", "Rows waiting in the storage queue.", l, float64(c.QueueDepth))
+		e.Gauge("ldmsd_store_queue_peak", "Most rows the storage queue has held at once.", l, float64(c.QueuePeak))
 		e.Gauge("ldmsd_store_queue_cap", "Storage queue capacity.", l, float64(c.QueueCap))
 		e.Counter("ldmsd_store_seconds_total", "Cumulative time inside store writes.", l, float64(c.StoreNanos)/1e9)
 		e.Counter("ldmsd_store_flushes_total", "Store flushes.", l, float64(c.Flushes))

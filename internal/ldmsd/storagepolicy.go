@@ -18,12 +18,17 @@ import (
 // back-pressures the pull path (the paper runs store plugins on
 // aggregators with a dedicated flush pool for exactly this reason).
 //
-// The pull path's storeSet call is a cheap enqueue: a pooled value-slice
-// copy of the sample pushed onto a per-policy ring. A drain job on the
-// daemon's store worker pool takes rows off the ring in batches and hands
-// them to the plugin via store.Batch (one lock acquisition and one
-// buffered write per batch for plugins implementing BatchStore). A flush
-// ticker per policy amortizes fsync cost across batches.
+// The pull path's storeSet call is a cheap enqueue: a copy of the set's
+// data chunk into a free-listed buffer, pushed onto a per-policy ring. A
+// drain job on the daemon's store worker pool takes rows off the ring in
+// batches, decodes them through the policy's schema and hands them to the
+// plugin via store.Batch (one lock acquisition and one buffered write per
+// batch for plugins implementing BatchStore). A flush ticker per policy
+// amortizes fsync cost across batches.
+//
+// The pull goes first: a steady updater pull holds the drain (holdStores),
+// so a store that computes does not take the pass's core while it pulls.
+// The hold gives way at half a ring and at each flush tick.
 //
 // Overflow is explicit: with overflow=drop-oldest (the default) a full
 // ring drops its oldest row and the enqueue never blocks; with
@@ -54,8 +59,9 @@ type StoragePolicy struct {
 	mu           sync.Mutex
 	notFull      sync.Cond // overflow=block enqueuers wait here
 	idle         sync.Cond // broadcast when a drain run finishes
-	ring         []metric.Row
+	ring         []*queuedRow
 	head, n      int
+	peak         int // most rows the ring has held at once
 	draining     bool
 	st           store.Store
 	fail         error
@@ -75,14 +81,15 @@ type StoragePolicy struct {
 	types  []metric.Type
 	selIdx []int
 
-	// Free lists reused across rows and batches: value slices cycle
-	// enqueue → drain → free, the batch scratch belongs to the single
-	// drain run, scratch is the full-cardinality read buffer for
-	// filtered policies (all guarded by mu).
-	free     [][]metric.Value
+	// Queued rows and their chunk buffers cycle enqueue → drain → free
+	// (guarded by mu); the ring holds pointers, so a queue sized for a burst
+	// costs 8 bytes a slot. taken, batchBuf and vals are the scratch of the
+	// one drain run in flight: the rows it took off the ring, and the plugin
+	// rows and values it decoded them into.
+	free     []*queuedRow
+	taken    []*queuedRow
 	batchBuf []metric.Row
-	scratch  []metric.Value
-	card     int
+	vals     []metric.Value
 
 	rows       atomic.Int64 // rows the plugin accepted
 	enqueued   atomic.Int64 // rows pushed onto the queue
@@ -91,6 +98,15 @@ type StoragePolicy struct {
 	storeNanos atomic.Int64 // cumulative time inside store writes
 	flushes    atomic.Int64
 	flushNanos atomic.Int64 // cumulative time inside store.Flush
+}
+
+// queuedRow is a sample waiting in the ring. chunk is a copy of the set's
+// data chunk taken at enqueue, because the next pull rewrites the mirror in
+// place: the drain decodes this copy and never reads the live set.
+type queuedRow struct {
+	chunk    []byte
+	instance string
+	compID   uint64
 }
 
 // Storage pipeline defaults; override per policy with
@@ -109,6 +125,7 @@ type StorageCounters struct {
 	Dropped    int64 // rows lost to overflow or a failed policy
 	Batches    int64 // batched plugin calls
 	QueueDepth int   // rows waiting in the ring right now
+	QueuePeak  int   // most rows the ring has held at once
 	QueueCap   int
 	StoreNanos int64
 	Flushes    int64
@@ -119,7 +136,7 @@ type StorageCounters struct {
 // Counters snapshots the policy's write counters.
 func (sp *StoragePolicy) Counters() StorageCounters {
 	sp.mu.Lock()
-	depth := sp.n
+	depth, peak := sp.n, sp.peak
 	failed := sp.fail != nil
 	sp.mu.Unlock()
 	return StorageCounters{
@@ -128,6 +145,7 @@ func (sp *StoragePolicy) Counters() StorageCounters {
 		Dropped:    sp.dropped.Load(),
 		Batches:    sp.batches.Load(),
 		QueueDepth: depth,
+		QueuePeak:  peak,
 		QueueCap:   sp.queueCap,
 		StoreNanos: sp.storeNanos.Load(),
 		Flushes:    sp.flushes.Load(),
@@ -198,7 +216,7 @@ func (d *Daemon) AddStoragePolicy(name, plugin, schema, path string, options map
 	}
 	sp.notFull.L = &sp.mu
 	sp.idle.L = &sp.mu
-	sp.ring = make([]metric.Row, sp.queueCap)
+	sp.ring = make([]*queuedRow, sp.queueCap)
 
 	d.mu.Lock()
 	if _, dup := d.strgps[name]; dup {
@@ -256,8 +274,9 @@ func (sp *StoragePolicy) Store() store.Store {
 // storeSet fans a fresh consistent sample out to the gateway's recent
 // window (when one is running) and to every matching storage policy. Both
 // taps are cheap on the pull path: one atomic load each, and the policy
-// side is an enqueue, not a store write.
-func (d *Daemon) storeSet(set *metric.Set) {
+// side is an enqueue, not a store write. held says the caller is a steady
+// pull holding the drain (holdStores).
+func (d *Daemon) storeSet(set *metric.Set, held bool) {
 	windowed := false
 	if w := d.window.Load(); w != nil {
 		w.Observe(set)
@@ -267,7 +286,7 @@ func (d *Daemon) storeSet(set *metric.Set) {
 	if policies := d.strgpList.Load(); policies != nil {
 		for _, sp := range *policies {
 			if sp.schema == set.SchemaName() {
-				sp.enqueue(set)
+				sp.enqueue(set, held)
 				enqueued = true
 			}
 		}
@@ -286,11 +305,38 @@ func (d *Daemon) publishStrgpsLocked() {
 	d.strgpList.Store(&list)
 }
 
-// enqueue copies one sample onto the policy's ring. Value slices come
-// from a free list recycled by the drain worker; the column-name slice is
-// shared across all rows of the policy. Called concurrently by updater
-// pull goroutines.
-func (sp *StoragePolicy) enqueue(set *metric.Set) {
+// holdStores marks a steady pull in flight: until its releaseStores, rows
+// enqueued with held start no drain. Under a virtual clock the queue drains
+// inline and nothing is held; it reports whether it took the hold.
+func (d *Daemon) holdStores() bool {
+	if d.storePool() == nil {
+		return false
+	}
+	d.storeHolds.Add(1)
+	return true
+}
+
+// releaseStores ends the hold *held took, if it still has it. The last hold
+// let go kicks every policy with rows queued.
+func (d *Daemon) releaseStores(held *bool) {
+	if !*held {
+		return
+	}
+	*held = false
+	if d.storeHolds.Add(-1) > 0 {
+		return
+	}
+	if policies := d.strgpList.Load(); policies != nil {
+		for _, sp := range *policies {
+			sp.kick()
+		}
+	}
+}
+
+// enqueue snapshots one sample onto the policy's ring, its data chunk
+// copied into a free-listed buffer; the drain decodes it. held says the
+// caller holds the drain. Called concurrently by updater pull goroutines.
+func (sp *StoragePolicy) enqueue(set *metric.Set, held bool) {
 	sp.mu.Lock()
 	if sp.closed || sp.fail != nil {
 		sp.dropped.Add(1)
@@ -302,35 +348,21 @@ func (sp *StoragePolicy) enqueue(set *metric.Set) {
 		sp.mu.Unlock()
 		return
 	}
-	vals := sp.getValsLocked()
-	var ts time.Time
-	if sp.selIdx == nil {
-		ts, _, _, _ = set.ReadValues(vals[:sp.card])
+	var row *queuedRow
+	if k := len(sp.free); k > 0 {
+		row, sp.free = sp.free[k-1], sp.free[:k-1]
 	} else {
-		if len(sp.scratch) < sp.card {
-			sp.scratch = make([]metric.Value, sp.card)
-		}
-		ts, _, _, _ = set.ReadValues(sp.scratch[:sp.card])
-		for j, i := range sp.selIdx {
-			vals[j] = sp.scratch[i]
-		}
+		row = &queuedRow{chunk: make([]byte, sp.layout.DataSize())}
 	}
-	row := metric.Row{
-		Time:     ts,
-		Instance: set.Name(),
-		Schema:   sp.schema,
-		CompID:   set.CompID(0),
-		Names:    sp.names,
-		Values:   vals[:len(sp.names)],
-	}
+	set.CopyDataInto(row.chunk)
+	row.instance, row.compID = set.Name(), set.CompID(0)
 	for sp.n == sp.queueCap {
 		if sp.dropOldest {
-			old := sp.ring[sp.head]
-			sp.ring[sp.head] = metric.Row{}
+			sp.free = append(sp.free, sp.ring[sp.head])
+			sp.ring[sp.head] = nil
 			sp.head = (sp.head + 1) % sp.queueCap
 			sp.n--
 			sp.dropped.Add(1)
-			sp.putValsLocked(old.Values)
 			if !sp.dropWarned {
 				// Journal the first overflow only; a persistently slow
 				// backend would otherwise flood the ring. The dropped
@@ -342,7 +374,7 @@ func (sp *StoragePolicy) enqueue(set *metric.Set) {
 		} else {
 			sp.notFull.Wait()
 			if sp.closed || sp.fail != nil {
-				sp.putValsLocked(row.Values)
+				sp.free = append(sp.free, row)
 				sp.dropped.Add(1)
 				sp.mu.Unlock()
 				return
@@ -351,13 +383,29 @@ func (sp *StoragePolicy) enqueue(set *metric.Set) {
 	}
 	sp.ring[(sp.head+sp.n)%sp.queueCap] = row
 	sp.n++
+	sp.peak = max(sp.peak, sp.n)
 	sp.enqueued.Add(1)
-	kick := !sp.draining
+	// A held row waits for the end of the pass unless the ring is half full:
+	// the drain then starts with half the ring still free, and a full ring
+	// always has a drain in flight.
+	kick := !held || 2*sp.n >= sp.queueCap
+	sp.mu.Unlock()
 	if kick {
+		sp.kick()
+	}
+}
+
+// kick starts a drain of the rows queued unless one runs already. It only
+// submits the drain, never waits for one: with one store worker, a flush
+// job waiting on a drain queued behind it would never finish.
+func (sp *StoragePolicy) kick() {
+	sp.mu.Lock()
+	start := sp.n > 0 && !sp.draining && sp.fail == nil
+	if start {
 		sp.draining = true
 	}
 	sp.mu.Unlock()
-	if kick {
+	if start {
 		sp.submitDrain()
 	}
 }
@@ -382,7 +430,6 @@ func (sp *StoragePolicy) initColumnsLocked(set *metric.Set) bool {
 	}
 	sp.layout = set.Schema()
 	card := set.Card()
-	sp.card = card
 	names := make([]string, 0, card)
 	types := make([]metric.Type, 0, card)
 	var sel []int
@@ -403,25 +450,6 @@ func (sp *StoragePolicy) initColumnsLocked(set *metric.Set) bool {
 	return true
 }
 
-// getValsLocked pops a value slice off the free list (capacity = full set
-// cardinality). Caller holds sp.mu.
-func (sp *StoragePolicy) getValsLocked() []metric.Value {
-	if n := len(sp.free); n > 0 {
-		v := sp.free[n-1]
-		sp.free = sp.free[:n-1]
-		return v
-	}
-	return make([]metric.Value, sp.card)
-}
-
-// putValsLocked recycles a row's value slice. Caller holds sp.mu.
-func (sp *StoragePolicy) putValsLocked(vals []metric.Value) {
-	if vals == nil {
-		return
-	}
-	sp.free = append(sp.free, vals[:cap(vals)])
-}
-
 // submitDrain schedules a drain run on the daemon's store pool, or runs
 // it inline when there is none (virtual clock) or the pool is stopping.
 func (sp *StoragePolicy) submitDrain() {
@@ -431,9 +459,9 @@ func (sp *StoragePolicy) submitDrain() {
 	sp.drain()
 }
 
-// drain empties the ring in batches of at most batchMax rows, handing
-// each batch to the plugin outside the policy lock. Exactly one drain
-// runs at a time (the draining flag).
+// drain empties the ring in batches of at most batchMax rows, decoding
+// each batch and handing it to the plugin outside the policy lock.
+// Exactly one drain runs at a time (the draining flag).
 func (sp *StoragePolicy) drain() {
 	sp.mu.Lock()
 	for sp.n > 0 && sp.fail == nil {
@@ -443,22 +471,34 @@ func (sp *StoragePolicy) drain() {
 				break
 			}
 		}
-		k := sp.n
-		if k > sp.batchMax {
-			k = sp.batchMax
-		}
-		batch := sp.batchBuf[:0]
+		k := min(sp.n, sp.batchMax)
+		taken := sp.taken[:0]
 		for i := 0; i < k; i++ {
 			j := (sp.head + i) % sp.queueCap
-			batch = append(batch, sp.ring[j])
-			sp.ring[j] = metric.Row{}
+			taken = append(taken, sp.ring[j])
+			sp.ring[j] = nil
 		}
-		sp.batchBuf = batch
+		sp.taken = taken
 		sp.head = (sp.head + k) % sp.queueCap
 		sp.n -= k
 		sp.notFull.Broadcast()
-		st := sp.st
+		st, layout, sel, names := sp.st, sp.layout, sp.selIdx, sp.names
 		sp.mu.Unlock()
+
+		if need := k * len(names); len(sp.vals) < need {
+			sp.vals = make([]metric.Value, min(sp.batchMax, sp.queueCap)*len(names))
+		}
+		batch := sp.batchBuf[:0]
+		for i, q := range taken {
+			lo, hi := i*len(names), (i+1)*len(names)
+			vals := sp.vals[lo:hi:hi]
+			batch = append(batch, metric.Row{
+				Time:     layout.DecodeChunk(q.chunk, sel, vals),
+				Instance: q.instance, Schema: sp.schema, CompID: q.compID,
+				Names: names, Values: vals,
+			})
+		}
+		sp.batchBuf = batch
 
 		start := sp.d.sch.Now()
 		err := store.Batch(st, batch)
@@ -477,10 +517,8 @@ func (sp *StoragePolicy) drain() {
 		}
 
 		sp.mu.Lock()
-		for i := range batch {
-			sp.putValsLocked(batch[i].Values)
-			batch[i] = metric.Row{}
-		}
+		sp.free = append(sp.free, taken...)
+		clear(taken)
 		if err != nil {
 			sp.dropped.Add(int64(len(batch)))
 			sp.failLocked(err)
@@ -519,23 +557,22 @@ func (sp *StoragePolicy) failLocked(err error) {
 	sp.d.journal.Appendf(obs.SevError, obs.CompStore, sp.name, 0,
 		"store plugin %s failed, policy disabled: %v", sp.plugin, err)
 	sp.dropped.Add(int64(sp.n))
-	for i := 0; i < sp.n; i++ {
-		j := (sp.head + i) % sp.queueCap
-		sp.putValsLocked(sp.ring[j].Values)
-		sp.ring[j] = metric.Row{}
-	}
+	clear(sp.ring)
+	sp.free = nil
 	sp.head, sp.n = 0, 0
 	sp.notFull.Broadcast()
 }
 
-// flushTick is the periodic flush: plugin buffers and fsync only, no
-// queue drain (the drain worker owns that), skipped while the store pool
-// has no free worker so a slow backend cannot pile up flush jobs.
+// flushTick is the periodic flush: it kicks a drain of rows held by passes
+// that overlap back to back, then flushes plugin buffers and fsyncs,
+// skipped while the store pool has no free worker so a slow backend cannot
+// pile up flush jobs.
 func (sp *StoragePolicy) flushTick() {
 	pool := sp.d.storePool()
 	if pool == nil {
 		return
 	}
+	sp.kick()
 	pool.TrySubmit(func() {
 		sp.mu.Lock()
 		st := sp.st

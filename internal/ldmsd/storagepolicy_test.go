@@ -167,7 +167,7 @@ func TestStorePipelineConcurrentEnqueue(t *testing.T) {
 				set.BeginTransaction()
 				set.SetU64(0, uint64(i))
 				set.EndTransaction(time.Unix(int64(i), 0))
-				d.storeSet(set)
+				d.storeSet(set, false)
 			}
 		}(w)
 	}
@@ -214,7 +214,7 @@ func TestStorePipelineDropOldest(t *testing.T) {
 		set.BeginTransaction()
 		set.SetU64(0, uint64(i))
 		set.EndTransaction(time.Unix(int64(i), 0))
-		d.storeSet(set)
+		d.storeSet(set, false)
 	}
 	elapsed := time.Since(start)
 	// 100 rows at 20 ms each would take 2 s if enqueue waited for the
@@ -250,7 +250,7 @@ func TestStorePipelineBlockLossless(t *testing.T) {
 		set.BeginTransaction()
 		set.SetU64(0, uint64(i))
 		set.EndTransaction(time.Unix(int64(i), 0))
-		d.storeSet(set)
+		d.storeSet(set, false)
 	}
 	sp.Flush()
 
@@ -287,13 +287,13 @@ func TestStorePipelineStickyFailure(t *testing.T) {
 		set.BeginTransaction()
 		set.SetU64(0, uint64(i))
 		set.EndTransaction(time.Unix(int64(i), 0))
-		d.storeSet(set)
+		d.storeSet(set, false)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return sp.Err() != nil }, "policy to fail")
 
 	// Every sample after the failure is dropped and counted.
 	before := sp.Dropped()
-	d.storeSet(set)
+	d.storeSet(set, false)
 	if got := sp.Dropped(); got != before+1 {
 		t.Errorf("dropped after failure = %d want %d", got, before+1)
 	}
@@ -368,7 +368,7 @@ func TestStorePipelineDrainOnStop(t *testing.T) {
 		set.BeginTransaction()
 		set.SetU64(0, uint64(i))
 		set.EndTransaction(time.Unix(int64(i), 0))
-		d.storeSet(set)
+		d.storeSet(set, false)
 	}
 	d.Stop()
 
@@ -390,7 +390,7 @@ func TestStorePipelineStatusRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := benchSet(t, "n1/bench", 1)
-	d.storeSet(set)
+	d.storeSet(set, false)
 	sp.Flush()
 
 	out, err := d.Exec("strgp_status")
@@ -428,7 +428,7 @@ func TestStorePipelineVirtualClockInline(t *testing.T) {
 		set.BeginTransaction()
 		set.SetU64(0, uint64(i))
 		set.EndTransaction(time.Unix(int64(i), 0))
-		d.storeSet(set)
+		d.storeSet(set, false)
 		// Inline drain: the row is in the plugin before storeSet returns.
 		if got := sp.Rows(); got != int64(i+1) {
 			t.Fatalf("after sample %d: rows = %d (virtual clock must drain inline)", i, got)

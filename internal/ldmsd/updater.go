@@ -429,7 +429,7 @@ func (u *Updater) run(now time.Time) {
 			// The folded set inherits its newest member's hop chain, with
 			// the reduce stage stamped at publish time.
 			u.d.trace.reduced(f.Set.Name(), f.Newest, f.Time, nowT)
-			u.d.storeSet(f.Set)
+			u.d.storeSet(f.Set, false)
 		}
 	}
 	u.passes.Add(1)
@@ -441,6 +441,10 @@ func (u *Updater) run(now time.Time) {
 func (u *Updater) pullProducer(name string, match func(string) bool, now time.Time) {
 	u.inflight.Add(1)
 	defer u.inflight.Add(-1)
+	// A steady pull holds the store drain until it ends; one with sets to
+	// look up lets go below, being bound by the network.
+	held := u.d.holdStores()
+	defer u.d.releaseStores(&held)
 
 	p := u.d.Producer(name)
 	if p == nil {
@@ -503,6 +507,7 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 	failed := false
 	var lookupTook time.Duration
 	if len(need) > 0 {
+		u.d.releaseStores(&held)
 		start := u.d.sch.Now()
 		due, failed = u.lookupSets(conn, ps, need, due, batch)
 		lookupTook = u.d.sch.Now().Sub(start)
@@ -529,7 +534,7 @@ func (u *Updater) pullProducer(name string, match func(string) bool, now time.Ti
 		cancel()
 		for i, us := range due[lo:hi] {
 			us.trace = ops[i].Trace
-			ok, stored := u.finishUpdate(us, ops[i].N, ops[i].Err)
+			ok, stored := u.finishUpdate(us, ops[i].N, ops[i].Err, held)
 			if !ok {
 				failed = true
 				break
@@ -912,11 +917,11 @@ func (u *Updater) finishLookup(ps *updProducerState, us *updSet, remote transpor
 // finishUpdate applies one completed data pull: fresh consistent data goes
 // to storage, stale or torn samples are counted and skipped. ok is false on
 // a connection-level failure; stored reports that the sample was fresh and
-// went to the window and stores. This is the pull inner loop, run once per
-// set per pass.
+// went to the window and stores. held says the pull holds the store drain.
+// This is the pull inner loop, run once per set per pass.
 //
 //ldms:hotpath
-func (u *Updater) finishUpdate(us *updSet, n int, err error) (ok, stored bool) {
+func (u *Updater) finishUpdate(us *updSet, n int, err error, held bool) (ok, stored bool) {
 	if err != nil {
 		us.bufValid = false
 		u.errors.Add(1)
@@ -965,9 +970,10 @@ func (u *Updater) finishUpdate(us *updSet, n int, err error) (ok, stored bool) {
 		u.reducer.Observe(us.regName)
 	}
 	// Fan the sample out to the recent window and storage policies. This
-	// is a bounded-queue enqueue, never a store write: a slow or syncing
-	// backend cannot inflate pull-pass latency (the store pool drains the
-	// queues asynchronously).
-	u.d.storeSet(us.mirror)
+	// is a bounded-queue enqueue, never a store write: a store that waits
+	// (slow disk, fsync) cannot inflate pull-pass latency, and since a steady
+	// pass holds the drain until it ends (short of half a ring), one that
+	// computes cannot either.
+	u.d.storeSet(us.mirror, held)
 	return true, true
 }

@@ -3,12 +3,34 @@ package ldmsd
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"goldms/internal/metric"
+	"goldms/internal/store"
 	"goldms/internal/transport"
 )
+
+// cpuStore is a store plugin that computes instead of waiting: it burns
+// about 3 µs of CPU per row and keeps nothing.
+type cpuStore struct{}
+
+func init() {
+	store.Register("store_testcpu", func(store.Config) (store.Store, error) { return cpuStore{}, nil })
+}
+
+func (cpuStore) Name() string { return "store_testcpu" }
+
+func (cpuStore) Store(metric.Row) error {
+	for start := time.Now(); time.Since(start) < 3*time.Microsecond; {
+	}
+	return nil
+}
+
+func (cpuStore) Flush() error        { return nil }
+func (cpuStore) Close() error        { return nil }
+func (cpuStore) BytesWritten() int64 { return 0 }
 
 // BenchmarkUpdaterFanIn measures one full update pass pulling N sets
 // spread over 8 producers, with the mem transport charging a simulated
@@ -24,6 +46,13 @@ import (
 // store is three orders of magnitude slower than the enqueue (the
 // drop-oldest default sheds the excess instead of stalling collection).
 //
+// "pipelined+cpustore" is the store that computes: its plugin burns ~3 µs
+// of CPU per row, and the mode runs at GOMAXPROCS=1, as the bench's
+// aggregator does. A store that waits leaves the pass alone whenever it
+// runs; one that computes takes the pass's core unless the drain is held
+// until the pass has pulled. The queue is sized for a whole pass, and each
+// timed pass starts with the drain of the one before it finished (untimed).
+//
 // Run with -benchmem to see the pooled-buffer effect on allocs/op.
 func BenchmarkUpdaterFanIn(b *testing.B) {
 	const (
@@ -31,8 +60,12 @@ func BenchmarkUpdaterFanIn(b *testing.B) {
 		rtt       = 200 * time.Microsecond
 	)
 	for _, nsets := range []int{64, 256, 1024} {
-		for _, mode := range []string{"sequential", "pipelined", "pipelined+slowstore"} {
+		for _, mode := range []string{"sequential", "pipelined", "pipelined+slowstore", "pipelined+cpustore"} {
 			b.Run(fmt.Sprintf("sets=%d/%s", nsets, mode), func(b *testing.B) {
+				cpuStore := mode == "pipelined+cpustore"
+				if cpuStore {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				}
 				net := transport.NewNetwork()
 				fac := transport.MemFactory{Net: net, Delay: func(addr, op string) {
 					time.Sleep(rtt)
@@ -89,6 +122,13 @@ func BenchmarkUpdaterFanIn(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				var cpu *StoragePolicy
+				if cpuStore {
+					if cpu, err = agg.AddStoragePolicy("cpu", "store_testcpu", "bench", "",
+						map[string]string{"queue": "4096", "flush_interval": "0"}); err != nil {
+						b.Fatal(err)
+					}
+				}
 				// bump dirties every source set so the next pass's pulls
 				// are fresh (stale pulls never reach storage).
 				tick := int64(2000)
@@ -117,7 +157,7 @@ func BenchmarkUpdaterFanIn(b *testing.B) {
 					b.Fatalf("warmup made %d pulls, want %d", got, 2*nsets)
 				}
 
-				if slowStore {
+				if slowStore || cpuStore {
 					bump()
 					u.run(time.Now()) // first fresh pass warms the policy's column layout and pools
 				}
@@ -125,7 +165,12 @@ func BenchmarkUpdaterFanIn(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					if slowStore {
+					if cpuStore {
+						b.StopTimer()
+						cpu.Flush()
+						bump()
+						b.StartTimer()
+					} else if slowStore {
 						bump()
 					}
 					u.run(time.Now())

@@ -344,16 +344,29 @@ func (s *Set) ReadValues(vals []Value) (ts time.Time, dgn uint64, consistent boo
 		n = len(vals)
 	}
 	s.mu.RLock()
-	for i := 0; i < n; i++ {
-		t := s.schema.defs[i].Type
-		vals[i] = Value{t, s.get(s.schema.offsets[i], t)}
-	}
-	sec := int64(le.Uint64(s.data[offSec:]))
-	usec := int64(le.Uint64(s.data[offUsec:]))
+	ts = s.schema.DecodeChunk(s.data, nil, vals[:n])
 	dgn = le.Uint64(s.data[offDGN:])
 	consistent = le.Uint64(s.data[offFlags:])&flagConsistent != 0
 	s.mu.RUnlock()
-	return time.Unix(sec, usec*1000), dgn, consistent, n
+	return ts, dgn, consistent, n
+}
+
+// DecodeChunk reads values out of a data chunk of this schema's layout — a
+// CopyDataInto snapshot, say — into vals: metric sel[j] into vals[j], or
+// metric j when sel is nil. It returns the chunk's sample timestamp. The
+// chunk belongs to the caller; nothing is locked.
+//
+//ldms:hotpath per-row decode in the store drain
+func (s *Schema) DecodeChunk(chunk []byte, sel []int, vals []Value) time.Time {
+	for j := range vals {
+		i := j
+		if sel != nil {
+			i = sel[j]
+		}
+		t := s.defs[i].Type
+		vals[j] = Value{t, getBits(chunk, s.offsets[i], t)}
+	}
+	return DataTimestamp(chunk)
 }
 
 // ReadBits is the §III-A reader protocol for a consumer that keeps the raw
