@@ -164,12 +164,12 @@ func benchDataPull(b *testing.B, f transport.Factory, addr string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, rs.Meta().DataSize)
-	b.SetBytes(int64(len(buf)))
+	op := []transport.UpdateOp{{Set: rs, Dst: make([]byte, rs.Meta().DataSize)}}
+	b.SetBytes(int64(len(op[0].Dst)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rs.Update(ctx, buf); err != nil {
-			b.Fatal(err)
+		if transport.UpdateAll(ctx, conn, op); op[0].Err != nil {
+			b.Fatal(op[0].Err)
 		}
 	}
 }
@@ -192,10 +192,10 @@ func BenchmarkCSVStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	row := metric.Row{Time: time.Unix(1, 0), CompID: 1, Names: names, Values: values}
+	rows := []metric.Row{{Time: time.Unix(1, 0), CompID: 1, Names: names, Values: values}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Store(row); err != nil {
+		if err := st.StoreBatch(rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,11 +65,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		buf := make([]byte, rs.Meta().DataSize)
-		if _, err := rs.Update(ctx, buf); err != nil {
-			fatal(err)
+		op := []transport.UpdateOp{{Set: rs, Dst: make([]byte, rs.Meta().DataSize)}}
+		if transport.UpdateAll(ctx, conn, op); op[0].Err != nil {
+			fatal(op[0].Err)
 		}
-		if err := mir.LoadData(buf); err != nil {
+		if err := mir.LoadData(op[0].Dst); err != nil {
 			fatal(err)
 		}
 		vals := make([]metric.Value, mir.Card())

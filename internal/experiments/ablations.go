@@ -27,6 +27,12 @@ import (
 func runAblations(cfg Config) (*Report, error) {
 	rep := &Report{}
 	ctx := context.Background()
+	// fetch is one full-chunk pull of r over c into b.
+	fetch := func(c transport.Conn, r transport.RemoteSet, b []byte) error {
+		op := []transport.UpdateOp{{Set: r, Dst: b}}
+		transport.UpdateAll(ctx, c, op)
+		return op[0].Err
+	}
 
 	// A realistic set: long metric names as in the Lustre example.
 	sch := metric.NewSchema("lustre")
@@ -66,7 +72,7 @@ func runAblations(cfg Config) (*Report, error) {
 	buf := make([]byte, rs.Meta().DataSize)
 	before := srv.Stats().BytesOut
 	for i := 0; i < pulls; i++ {
-		if _, err := rs.Update(ctx, buf); err != nil {
+		if err := fetch(conn, rs, buf); err != nil {
 			return nil, err
 		}
 	}
@@ -78,7 +84,7 @@ func runAblations(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := rs2.Update(ctx, buf); err != nil {
+		if err := fetch(conn, rs2, buf); err != nil {
 			return nil, err
 		}
 	}
@@ -101,7 +107,7 @@ func runAblations(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	classify := func() (string, error) {
-		if _, err := rs.Update(ctx, buf); err != nil {
+		if err := fetch(conn, rs, buf); err != nil {
 			return "", err
 		}
 		if err := mirror.LoadData(buf); err != nil {
@@ -199,7 +205,7 @@ func runAblations(cfg Config) (*Report, error) {
 		}
 		b := make([]byte, r.Meta().DataSize)
 		for i := 0; i < 2000; i++ {
-			if _, err := r.Update(ctx, b); err != nil {
+			if err := fetch(c, r, b); err != nil {
 				return err
 			}
 		}

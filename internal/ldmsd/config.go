@@ -2,6 +2,7 @@ package ldmsd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,11 +28,12 @@ import (
 //	stop name=<plugin>
 //	oneshot name=<plugin>
 //	listen xprt=<transport> addr=<addr>
-//	xprt_opt xprt=sock [legacy=1] [delta=0|1] [dict=0|1] [compress=0|1]
+//	xprt_opt xprt=sock [delta=0|1] [dict=0|1] [compress=0|1]
 //	             [rbuf=<bytes>] [wbuf=<bytes>]
 //	                             (tune the sock transport: capability masks
 //	                             and per-connection buffer sizes; applies to
-//	                             listeners and producers created afterward)
+//	                             listeners and producers created afterward;
+//	                             any other key is an error)
 //	http_listen addr=<addr> [window=<dur>] [points=<n>] [shards=<n>]
 //	             [compress=1] [pprof=1]
 //	                             (query & observability gateway)
@@ -371,25 +373,29 @@ func (d *Daemon) cmdListen(args map[string]string) (string, error) {
 	return bound, nil
 }
 
-// cmdXprtOpt tunes the sock transport factory: capability masks (legacy=1
-// turns every extension off; delta/dict/compress toggle individually) and
-// per-connection read/write buffer sizes. The tuned factory replaces the
-// registered one: new listeners use it immediately, and producers
-// re-resolve it on every connect attempt, so a prdcr_stop/prdcr_start
-// cycle (or any reconnect) renegotiates under the new settings. Live
-// connections keep what they negotiated.
+// xprtOptKeys are the keys xprt_opt accepts, in the order its error lists
+// them.
+var xprtOptKeys = []string{"xprt", "delta", "dict", "compress", "rbuf", "wbuf"}
+
+// cmdXprtOpt tunes the sock transport factory: capability masks
+// (delta/dict/compress toggle individually) and per-connection read/write
+// buffer sizes. The tuned factory replaces the registered one: new listeners
+// use it immediately, and producers re-resolve it on every connect attempt,
+// so a prdcr_stop/prdcr_start cycle (or any reconnect) renegotiates under
+// the new settings. Live connections keep what they negotiated. A key it
+// does not know is an error, and any error leaves the factory as it was.
 func (d *Daemon) cmdXprtOpt(args map[string]string) (string, error) {
+	for k := range args {
+		if !slices.Contains(xprtOptKeys, k) {
+			return "", fmt.Errorf("ldmsd: xprt_opt: unknown key %q (accepted: %s)", k, strings.Join(xprtOptKeys, ", "))
+		}
+	}
 	if x := args["xprt"]; x != "" && x != "sock" {
 		return "", fmt.Errorf("ldmsd: xprt_opt supports xprt=sock only, got %q", x)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sf, _ := d.transports["sock"].(transport.SockFactory)
-	if v, ok, err := parseOnOff("legacy", args); err != nil {
-		return "", err
-	} else if ok {
-		sf.Legacy = v
-	}
 	for _, opt := range []struct {
 		key  string
 		mask *bool

@@ -128,6 +128,41 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
+// TestXprtOptRejectsUnknownKeys: a misspelled key, or the retired legacy=1,
+// is an error naming the accepted keys, and leaves the sock factory exactly
+// as the last good xprt_opt set it.
+func TestXprtOptRejectsUnknownKeys(t *testing.T) {
+	sch := sched.NewVirtual(time.Unix(0, 0))
+	d := virtualSampler(t, "n1", sch, transport.NewNetwork(), 0)
+	defer d.Stop()
+	sock := func() transport.SockFactory {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		sf, _ := d.transports["sock"].(transport.SockFactory)
+		return sf
+	}
+	if _, err := d.Exec("xprt_opt xprt=sock delta=0 compress=0 rbuf=8192"); err != nil {
+		t.Fatal(err)
+	}
+	want := transport.SockFactory{NoDelta: true, NoCompress: true, ReadBuf: 8192}
+	if got := sock(); got != want {
+		t.Fatalf("factory = %+v, want %+v", got, want)
+	}
+	for _, cmd := range []string{
+		"xprt_opt xprt=sock dleta=0",
+		"xprt_opt xprt=sock legacy=1",
+		"xprt_opt xprt=sock dict=0 legacy=1",
+	} {
+		_, err := d.Exec(cmd)
+		if err == nil || !strings.Contains(err.Error(), "accepted: xprt, delta, dict, compress, rbuf, wbuf") {
+			t.Errorf("%s: err = %v, want unknown key naming the accepted keys", cmd, err)
+		}
+		if got := sock(); got != want {
+			t.Errorf("%s changed the factory to %+v", cmd, got)
+		}
+	}
+}
+
 func TestExecSynchronousStart(t *testing.T) {
 	sch := sched.NewVirtual(time.Unix(1000000007, 0))
 	d := virtualSampler(t, "n1", sch, transport.NewNetwork(), 0)

@@ -197,9 +197,7 @@ func (p *Producer) Counters() ProducerCounters {
 	p.mu.Lock()
 	c.Transport = p.closedStats
 	if p.conn != nil {
-		if live, ok := transport.StatsOf(p.conn); ok {
-			c.Transport.Add(live)
-		}
+		c.Transport.Add(p.conn.ConnStats())
 	}
 	p.mu.Unlock()
 	return c
@@ -208,11 +206,8 @@ func (p *Producer) Counters() ProducerCounters {
 // retireConn folds a dying connection's transfer counters into the
 // producer's running total. Caller holds p.mu.
 func (p *Producer) retireConn(conn transport.Conn) {
-	if conn == nil {
-		return
-	}
-	if st, ok := transport.StatsOf(conn); ok {
-		p.closedStats.Add(st)
+	if conn != nil {
+		p.closedStats.Add(conn.ConnStats())
 	}
 }
 

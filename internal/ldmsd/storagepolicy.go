@@ -22,9 +22,8 @@ import (
 // data chunk into a free-listed buffer, pushed onto a per-policy ring. A
 // drain job on the daemon's store worker pool takes rows off the ring in
 // batches, decodes them through the policy's schema and hands them to the
-// plugin via store.Batch (one lock acquisition and one buffered write per
-// batch for plugins implementing BatchStore). A flush ticker per policy
-// amortizes fsync cost across batches.
+// plugin's StoreBatch (one lock acquisition and one buffered write per
+// batch). A flush ticker per policy amortizes fsync cost across batches.
 //
 // The pull goes first: a steady updater pull holds the drain (holdStores),
 // so a store that computes does not take the pass's core while it pulls.

@@ -17,10 +17,9 @@ import (
 	"goldms/internal/transport"
 )
 
-// pipeStore is an in-memory store plugin for pipeline tests. It
-// implements only the base Store interface (no StoreBatch), so a
-// configured per-row delay models a slow legacy backend going through the
-// Batch fallback loop. Options:
+// pipeStore is an in-memory store plugin for pipeline tests. It takes a
+// batch one row at a time, so a configured per-row delay models a slow
+// backend. Options:
 //
 //	delay=<dur>     sleep per stored row
 //	fail_after=<n>  return an error on row n+1 and every row after
@@ -62,7 +61,16 @@ func init() {
 
 func (ps *pipeStore) Name() string { return "store_testpipe" }
 
-func (ps *pipeStore) Store(row metric.Row) error {
+func (ps *pipeStore) StoreBatch(rows []metric.Row) error {
+	for _, row := range rows {
+		if err := ps.store(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ps *pipeStore) store(row metric.Row) error {
 	if ps.delay > 0 {
 		time.Sleep(ps.delay)
 	}

@@ -601,17 +601,16 @@ func (u *Updater) lookupSets(conn transport.Conn, ps *updProducerState, need, du
 // refreshDir re-fetches the producer's directory when its registry
 // generation moved (or has never been observed). It reports the fresh name
 // list when a refresh ran, whether names changed, and ok=false on a
-// connection-level failure. Transports without DirGen support keep the
-// connect-time directory, as before.
+// connection-level failure.
 func (u *Updater) refreshDir(conn transport.Conn, p *Producer, ps *updProducerState, epoch uint64) (names []string, changed, ok bool) {
 	ctx, cancel := u.ctx()
-	gen, supported, err := transport.DirGenOf(ctx, conn)
+	gen, err := conn.DirGen(ctx)
 	cancel()
 	if err != nil {
 		p.disconnected(epoch)
 		return nil, false, false
 	}
-	if !supported || (ps.haveGen && gen == ps.dirGen) {
+	if ps.haveGen && gen == ps.dirGen {
 		return nil, false, true
 	}
 	// Generation read precedes the Dir fetch: a membership change landing

@@ -22,8 +22,10 @@ func init() {
 
 func (cpuStore) Name() string { return "store_testcpu" }
 
-func (cpuStore) Store(metric.Row) error {
-	for start := time.Now(); time.Since(start) < 3*time.Microsecond; {
+func (cpuStore) StoreBatch(rows []metric.Row) error {
+	for range rows {
+		for start := time.Now(); time.Since(start) < 3*time.Microsecond; {
+		}
 	}
 	return nil
 }

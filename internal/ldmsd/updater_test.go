@@ -59,7 +59,7 @@ func TestStalledProducerDoesNotBlockOthers(t *testing.T) {
 	stall := make(chan struct{})
 	var stalled atomic.Bool
 	fac := transport.MemFactory{Net: net, Delay: func(addr, op string) {
-		if addr == "slow" && (op == "update" || op == "update_batch") {
+		if addr == "slow" && op == "update_batch" {
 			if stalled.CompareAndSwap(false, true) {
 				<-stall
 			}

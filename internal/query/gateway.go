@@ -3,6 +3,8 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -198,22 +200,49 @@ func (g *Gateway) fail(w http.ResponseWriter, code int, format string, args ...a
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSON writes a 200 JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes a 200 JSON response. json.Encoder marshals the whole
+// reply before it writes a byte, so a reply that does not encode is a
+// counted 500, never an empty 200.
+func (g *Gateway) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	tw := &trackedWriter{w: w}
+	if err := json.NewEncoder(tw).Encode(v); err != nil && !tw.wrote {
+		g.fail(w, http.StatusInternalServerError, "encode reply: %v", err)
+	}
+}
+
+// trackedWriter tells an encode error (nothing written) from a client that
+// went away mid-reply.
+type trackedWriter struct {
+	w     io.Writer
+	wrote bool
+}
+
+func (t *trackedWriter) Write(p []byte) (int, error) {
+	t.wrote = true
+	return t.w.Write(p)
 }
 
 // jsonValue renders a metric value with its natural JSON type.
 func jsonValue(v metric.Value) any {
 	switch v.Type {
 	case metric.TypeF32, metric.TypeD64:
-		return v.F64()
+		return jsonFloat(v.F64())
 	case metric.TypeS8, metric.TypeS16, metric.TypeS32, metric.TypeS64:
 		return v.S64()
 	default:
 		return v.U64()
 	}
+}
+
+// jsonFloat renders a float for a reply: JSON has no NaN or infinity, so
+// those are null (docs/QUERY.md); every other value, -0 included, is the
+// number itself.
+func jsonFloat(f float64) any {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil
+	}
+	return f
 }
 
 // setInfo is one /api/v1/dir entry.
@@ -252,7 +281,7 @@ func (g *Gateway) handleDir(w http.ResponseWriter, r *http.Request) {
 			Local:      set.Local(),
 		})
 	}
-	writeJSON(w, map[string]any{"daemon": g.DaemonName, "sets": infos})
+	g.writeJSON(w, map[string]any{"daemon": g.DaemonName, "sets": infos})
 }
 
 // handleSet serves one set snapshot: every metric read under a single lock
@@ -283,7 +312,7 @@ func (g *Gateway) handleSet(w http.ResponseWriter, r *http.Request) {
 			Value: jsonValue(vals[i]),
 		}
 	}
-	writeJSON(w, map[string]any{
+	g.writeJSON(w, map[string]any{
 		"instance":   set.Name(),
 		"schema":     set.SchemaName(),
 		"comp_id":    set.CompID(0),
@@ -332,7 +361,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		// Dir() is sorted but metric names are not; sort for determinism.
 		sort.Strings(names)
-		writeJSON(w, map[string]any{"metrics": names})
+		g.writeJSON(w, map[string]any{"metrics": names})
 		return
 	}
 	var out []latestOut
@@ -360,7 +389,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Consistent: consistent,
 		})
 	}
-	writeJSON(w, map[string]any{"metric": metricName, "values": out})
+	g.writeJSON(w, map[string]any{"metric": metricName, "values": out})
 }
 
 // handleSeries serves recent history of one metric from the in-memory
@@ -451,7 +480,7 @@ func (g *Gateway) handleSeries(w http.ResponseWriter, r *http.Request) {
 		resp["step"] = step.String()
 		resp["agg"] = aggFn
 	}
-	writeJSON(w, resp)
+	g.writeJSON(w, resp)
 }
 
 // handleAggregate folds one metric across every matching producer into
@@ -506,12 +535,12 @@ func (g *Gateway) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	type pointOut struct {
 		Time  time.Time `json:"time"`
-		Value float64   `json:"value"`
+		Value any       `json:"value"`
 		Count int       `json:"count"`
 	}
 	points := make([]pointOut, len(res.Points))
 	for i, p := range res.Points {
-		points[i] = pointOut{Time: p.Time, Value: p.Value, Count: p.Count}
+		points[i] = pointOut{Time: p.Time, Value: jsonFloat(p.Value), Count: p.Count}
 	}
 	resp := map[string]any{
 		"metric":       res.Metric,
@@ -526,7 +555,7 @@ func (g *Gateway) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if fn == "quantile" {
 		resp["q"] = qv
 	}
-	writeJSON(w, resp)
+	g.writeJSON(w, resp)
 }
 
 // handleLatency serves the per-hop sample-age histograms: for each hop of
@@ -559,7 +588,7 @@ func (g *Gateway) handleLatency(w http.ResponseWriter, r *http.Request) {
 			MaxSeconds: h.Max.Seconds(),
 		}
 	}
-	writeJSON(w, map[string]any{"daemon": g.DaemonName, "hops": out})
+	g.writeJSON(w, map[string]any{"daemon": g.DaemonName, "hops": out})
 }
 
 // handleEvents serves the daemon's event journal, newest last. Query
@@ -593,7 +622,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if events == nil {
 		events = []obs.Event{}
 	}
-	writeJSON(w, map[string]any{
+	g.writeJSON(w, map[string]any{
 		"daemon":   g.DaemonName,
 		"total":    g.Journal.Total(),
 		"capacity": g.Journal.Cap(),
@@ -665,7 +694,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 			chains = append(chains, co)
 		}
 	}
-	writeJSON(w, map[string]any{"daemon": g.DaemonName, "spans": spans, "chains": chains})
+	g.writeJSON(w, map[string]any{"daemon": g.DaemonName, "spans": spans, "chains": chains})
 }
 
 // handleHealthz reports daemon liveness plus per-producer staleness and

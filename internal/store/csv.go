@@ -12,11 +12,7 @@ import (
 	"goldms/internal/metric"
 )
 
-// Compile-time interface checks.
-var (
-	_ Store      = (*csvStore)(nil)
-	_ BatchStore = (*csvStore)(nil)
-)
+var _ Store = (*csvStore)(nil)
 
 // csvStore is the store_csv plugin: one comma-separated-value file per
 // metric set schema, one row per (component, sample). The header row is
@@ -192,18 +188,7 @@ func (s *csvStore) writeScratchLocked() error {
 	return nil
 }
 
-// Store implements Store.
-func (s *csvStore) Store(row metric.Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store_csv: closed")
-	}
-	s.scratch = appendCSVRow(s.scratch[:0], row)
-	return s.writeScratchLocked()
-}
-
-// StoreBatch implements BatchStore: all rows are formatted into one
+// StoreBatch implements Store: all rows are formatted into one
 // reused buffer and written under a single lock acquisition. The
 // rollover threshold is still honored mid-batch.
 func (s *csvStore) StoreBatch(rows []metric.Row) error {

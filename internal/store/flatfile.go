@@ -11,11 +11,7 @@ import (
 	"goldms/internal/metric"
 )
 
-// Compile-time interface checks.
-var (
-	_ Store      = (*flatStore)(nil)
-	_ BatchStore = (*flatStore)(nil)
-)
+var _ Store = (*flatStore)(nil)
 
 // flatStore is the flat-file plugin: one file per metric name (paper
 // §IV-A: "a file per metric name (e.g. Active and Cached memory are stored
@@ -77,28 +73,7 @@ func appendFlatLine(buf []byte, row metric.Row, v metric.Value) []byte {
 	return append(buf, '\n')
 }
 
-// Store implements Store.
-func (s *flatStore) Store(row metric.Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store_flatfile: closed")
-	}
-	if len(row.Values) != len(s.files) {
-		return fmt.Errorf("store_flatfile: row has %d values, store %d files", len(row.Values), len(s.files))
-	}
-	for i, v := range row.Values {
-		s.scratch = appendFlatLine(s.scratch[:0], row, v)
-		n, err := s.files[i].Write(s.scratch)
-		s.written += int64(n)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StoreBatch implements BatchStore: one lock acquisition for the whole
+// StoreBatch implements Store: one lock acquisition for the whole
 // batch and, per metric file, all of the batch's lines formatted into one
 // reused buffer and handed to the writer in a single call.
 func (s *flatStore) StoreBatch(rows []metric.Row) error {

@@ -8,11 +8,7 @@ import (
 	"goldms/internal/sos"
 )
 
-// Compile-time interface checks.
-var (
-	_ Store      = (*sosStore)(nil)
-	_ BatchStore = (*sosStore)(nil)
-)
+var _ Store = (*sosStore)(nil)
 
 // sosStore is the store_sos plugin: samples append to a SOS container
 // rooted at cfg.Path.
@@ -37,14 +33,7 @@ func newSOS(cfg Config) (Store, error) {
 // Name implements Store.
 func (s *sosStore) Name() string { return "store_sos" }
 
-// Store implements Store.
-func (s *sosStore) Store(row metric.Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.Append(row.Time, row.CompID, row.Values)
-}
-
-// StoreBatch implements BatchStore: the whole batch appends under one
+// StoreBatch implements Store: the whole batch appends under one
 // lock acquisition.
 func (s *sosStore) StoreBatch(rows []metric.Row) error {
 	s.mu.Lock()

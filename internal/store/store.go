@@ -43,8 +43,13 @@ func (c Config) opt(key, def string) string {
 type Store interface {
 	// Name returns the plugin type name.
 	Name() string
-	// Store appends one sample.
-	Store(row metric.Row) error
+	// StoreBatch appends rows in order: one lock acquisition and (for file
+	// backends) one buffered write per batch. The storage pipeline hands it
+	// whole queue drains; rows and their Values slices are only valid for
+	// the duration of the call (the pipeline recycles them afterwards), so
+	// implementations must copy anything they retain. On error the batch is
+	// abandoned; how many rows landed is plugin-defined.
+	StoreBatch(rows []metric.Row) error
 	// Flush forces buffered data to stable storage.
 	Flush() error
 	// Close flushes and releases resources.
@@ -54,31 +59,9 @@ type Store interface {
 	BytesWritten() int64
 }
 
-// BatchStore is implemented by plugins that can absorb many rows in one
-// call: one lock acquisition and (for file backends) one buffered write
-// per batch instead of per row. The storage pipeline hands whole queue
-// drains to StoreBatch; rows and their Values slices are only valid for
-// the duration of the call (the pipeline recycles them afterwards), so
-// implementations must copy anything they retain.
-type BatchStore interface {
-	Store
-	// StoreBatch appends rows in order. On error the batch is abandoned;
-	// how many rows landed is plugin-defined.
-	StoreBatch(rows []metric.Row) error
-}
-
-// Batch hands rows to s in one StoreBatch call when the plugin supports
-// it, falling back to a per-row Store loop otherwise.
+// Batch hands rows to s in one StoreBatch call.
 func Batch(s Store, rows []metric.Row) error {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.StoreBatch(rows)
-	}
-	for _, r := range rows {
-		if err := s.Store(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.StoreBatch(rows)
 }
 
 // Factory constructs a configured store.

@@ -28,16 +28,21 @@ func testRow(ts int64, comp uint64, active, cached uint64, load float64) metric.
 	}
 }
 
+// store1 hands s a batch of one row.
+func store1(s Store, row metric.Row) error {
+	return s.StoreBatch([]metric.Row{row})
+}
+
 func TestCSVStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meminfo.csv")
 	s, err := New("store_csv", Config{Path: path, Schema: "meminfo", Names: colNames, Types: colTypes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store(testRow(100, 1, 111, 222, 1.5)); err != nil {
+	if err := store1(s, testRow(100, 1, 111, 222, 1.5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store(testRow(120, 2, 333, 444, 2.5)); err != nil {
+	if err := store1(s, testRow(120, 2, 333, 444, 2.5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -71,7 +76,7 @@ func TestCSVAltHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store(testRow(1, 1, 1, 2, 3))
+	store1(s, testRow(1, 1, 1, 2, 3))
 	s.Close()
 	b, _ := os.ReadFile(path)
 	if strings.HasPrefix(string(b), "#") {
@@ -87,13 +92,13 @@ func TestCSVAppendAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.csv")
 	cfg := Config{Path: path, Schema: "s", Names: colNames, Types: colTypes}
 	s, _ := New("store_csv", cfg)
-	s.Store(testRow(1, 1, 1, 2, 3))
+	store1(s, testRow(1, 1, 1, 2, 3))
 	s.Close()
 	s2, err := New("store_csv", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.Store(testRow(2, 1, 4, 5, 6))
+	store1(s2, testRow(2, 1, 4, 5, 6))
 	s2.Close()
 	b, _ := os.ReadFile(path)
 	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
@@ -108,8 +113,8 @@ func TestFlatfileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store(testRow(100, 7, 11, 22, 0.5))
-	s.Store(testRow(101, 7, 12, 23, 0.6))
+	store1(s, testRow(100, 7, 11, 22, 0.5))
+	store1(s, testRow(101, 7, 12, 23, 0.6))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +144,7 @@ func TestFlatfileCardinalityMismatch(t *testing.T) {
 	s, _ := New("store_flatfile", Config{Path: dir, Schema: "s", Names: colNames, Types: colTypes})
 	row := testRow(1, 1, 1, 2, 3)
 	row.Values = row.Values[:1]
-	if err := s.Store(row); err == nil {
+	if err := store1(s, row); err == nil {
 		t.Error("mismatched row accepted")
 	}
 	s.Close()
@@ -153,7 +158,7 @@ func TestSOSStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := s.Store(testRow(int64(100+i), 3, uint64(i), 0, 0)); err != nil {
+		if err := store1(s, testRow(int64(100+i), 3, uint64(i), 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +172,7 @@ func TestSOSStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.Store(testRow(200, 3, 99, 0, 0))
+	store1(s2, testRow(200, 3, 99, 0, 0))
 	ss, ok := s2.(*sosStore)
 	if !ok {
 		t.Fatal("not a sosStore")
@@ -227,7 +232,7 @@ func TestCSVRollover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := s.Store(testRow(int64(i), 1, uint64(i), 0, 0)); err != nil {
+		if err := store1(s, testRow(int64(i), 1, uint64(i), 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +274,7 @@ func TestCSVRolloverContinuesAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := s.Store(testRow(int64(i), 1, uint64(i), 0, 0)); err != nil {
+		if err := store1(s, testRow(int64(i), 1, uint64(i), 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +294,7 @@ func TestCSVRolloverContinuesAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := s2.Store(testRow(int64(100+i), 1, uint64(i), 0, 0)); err != nil {
+		if err := store1(s2, testRow(int64(100+i), 1, uint64(i), 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,6 +312,8 @@ func TestCSVRolloverContinuesAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestCSVStoreBatchMatchesPerRow: one StoreBatch of N rows writes the same
+// file as N batches of one.
 func TestCSVStoreBatchMatchesPerRow(t *testing.T) {
 	dir := t.TempDir()
 	rowPath := filepath.Join(dir, "row.csv")
@@ -318,7 +325,7 @@ func TestCSVStoreBatchMatchesPerRow(t *testing.T) {
 	}
 	sr, _ := New("store_csv", Config{Path: rowPath, Schema: "s", Names: colNames, Types: colTypes})
 	for _, r := range rows {
-		if err := sr.Store(r); err != nil {
+		if err := store1(sr, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,6 +380,8 @@ func TestCSVStoreBatchRollover(t *testing.T) {
 	}
 }
 
+// TestFlatfileStoreBatchMatchesPerRow: one StoreBatch of N rows writes the
+// same metric files as N batches of one.
 func TestFlatfileStoreBatchMatchesPerRow(t *testing.T) {
 	rowDir := t.TempDir()
 	batchDir := t.TempDir()
@@ -382,7 +391,7 @@ func TestFlatfileStoreBatchMatchesPerRow(t *testing.T) {
 	}
 	sr, _ := New("store_flatfile", Config{Path: rowDir, Schema: "s", Names: colNames, Types: colTypes})
 	for _, r := range rows {
-		if err := sr.Store(r); err != nil {
+		if err := store1(sr, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,26 +450,29 @@ func TestSOSStoreBatch(t *testing.T) {
 		t.Errorf("records = %d want 5", n)
 	}
 	s.Close()
-}
 
-// loopStore counts Store calls and implements only the base interface, to
-// exercise Batch's per-row fallback.
-type loopStore struct{ calls int }
-
-func (l *loopStore) Name() string               { return "loop" }
-func (l *loopStore) Store(row metric.Row) error { l.calls++; return nil }
-func (l *loopStore) Flush() error               { return nil }
-func (l *loopStore) Close() error               { return nil }
-func (l *loopStore) BytesWritten() int64        { return 0 }
-
-func TestBatchFallsBackToPerRow(t *testing.T) {
-	ls := &loopStore{}
-	rows := []metric.Row{testRow(1, 1, 1, 2, 3), testRow(2, 1, 4, 5, 6)}
-	if err := Batch(ls, rows); err != nil {
+	// Five batches of one build a byte-identical container.
+	rowDir := filepath.Join(t.TempDir(), "sos")
+	sr, err := New("store_sos", Config{Path: rowDir, Schema: "meminfo", Names: colNames, Types: colTypes})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.calls != 2 {
-		t.Errorf("fallback made %d Store calls, want 2", ls.calls)
+	for _, r := range rows {
+		if err := store1(sr, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sr.Close()
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(files) == 0 {
+		t.Fatal("container holds no files")
+	}
+	for _, f := range files {
+		a, _ := os.ReadFile(f)
+		b, err := os.ReadFile(filepath.Join(rowDir, filepath.Base(f)))
+		if err != nil || string(a) != string(b) {
+			t.Errorf("%s: one batch differs from batches of one (err=%v)", filepath.Base(f), err)
+		}
 	}
 }
 
@@ -483,7 +495,7 @@ func TestFlushPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", plugin, err)
 		}
-		if err := s.Store(testRow(1, 1, 1, 2, 3)); err != nil {
+		if err := store1(s, testRow(1, 1, 1, 2, 3)); err != nil {
 			t.Fatalf("%s store: %v", plugin, err)
 		}
 		if err := s.Flush(); err != nil {
@@ -506,13 +518,13 @@ func TestStoreAfterCloseRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.csv")
 	s, _ := New("store_csv", Config{Path: path, Schema: "s", Names: colNames, Types: colTypes})
 	s.Close()
-	if err := s.Store(testRow(1, 1, 1, 2, 3)); err == nil {
+	if err := store1(s, testRow(1, 1, 1, 2, 3)); err == nil {
 		t.Error("csv store after close accepted")
 	}
 	d := t.TempDir()
 	f, _ := New("store_flatfile", Config{Path: d, Schema: "s", Names: colNames, Types: colTypes})
 	f.Close()
-	if err := f.Store(testRow(1, 1, 1, 2, 3)); err == nil {
+	if err := store1(f, testRow(1, 1, 1, 2, 3)); err == nil {
 		t.Error("flatfile store after close accepted")
 	}
 }

@@ -17,27 +17,55 @@ import (
 // wire bytes per pulled sample on a 256-set fan-in where one metric in 64
 // moves per sampling round — the steady-telemetry shape (mostly-idle
 // counters) the delta encoding is built for. The full sub-benchmark pulls
-// whole data chunks (a legacy pairing), the delta sub-benchmark acknowledges
-// each pull and receives only changed metrics. CI gates delta at >= 5x fewer
-// bytes per sample than full.
-//
+// whole data chunks (a pairing without the delta capability), the delta
+// sub-benchmark acknowledges each pull and receives only changed metrics.
+// TestDeltaWireSaving gates delta at >= 5x fewer bytes per sample than full.
+func BenchmarkDeltaUpdate(b *testing.B) {
+	fan := newDeltaFanIn(b)
+	b.Run("full", func(b *testing.B) {
+		b.ReportMetric(fan.bytesPerSample(b, SockFactory{NoDelta: true}, false, b.N), "B/sample")
+	})
+	b.Run("delta", func(b *testing.B) {
+		b.ReportMetric(fan.bytesPerSample(b, SockFactory{}, true, b.N), "B/sample")
+	})
+}
+
+// TestDeltaWireSaving: on BenchmarkDeltaUpdate's fan-in, acknowledged pulls
+// move at least 5x fewer wire bytes per sample than full-chunk pulls. The
+// byte counts do not depend on timing, so a few rounds decide it.
+func TestDeltaWireSaving(t *testing.T) {
+	fan := newDeltaFanIn(t)
+	full := fan.bytesPerSample(t, SockFactory{NoDelta: true}, false, 3)
+	delta := fan.bytesPerSample(t, SockFactory{}, true, 3)
+	t.Logf("delta %.2f B/sample vs full %.2f B/sample", delta, full)
+	if delta*5 > full {
+		t.Errorf("delta %.2f B/sample vs full %.2f: saving < 5x", delta, full)
+	}
+}
+
+// deltaFanIn is 256 sets of 64 u64 metrics, one of which moves per round.
 // Every metric is seeded with incompressible pseudorandom bits: real
 // telemetry is counters at arbitrary values, and zero-filled chunks would
 // let plain frame compression collapse the full path on its own, masking
 // the saving under measurement.
-func BenchmarkDeltaUpdate(b *testing.B) {
+type deltaFanIn struct {
+	reg   *metric.Registry
+	sets  []*metric.Set
+	round uint64
+}
+
+func newDeltaFanIn(tb testing.TB) *deltaFanIn {
 	const nsets, nmetrics = 256, 64
-	reg := metric.NewRegistry()
-	sets := make([]*metric.Set, nsets)
+	fan := &deltaFanIn{reg: metric.NewRegistry(), sets: make([]*metric.Set, nsets), round: 1}
 	sch := metric.NewSchema("bench_wide")
 	for j := 0; j < nmetrics; j++ {
 		sch.MustAddMetric(fmt.Sprintf("m%02d", j), metric.TypeU64)
 	}
 	seed := uint64(0x9e3779b97f4a7c15)
-	for i := range sets {
+	for i := range fan.sets {
 		set, err := metric.New(fmt.Sprintf("bench/set%03d", i), sch)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		set.BeginTransaction()
 		for j := 0; j < nmetrics; j++ {
@@ -45,92 +73,100 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 			set.SetU64(j, seed)
 		}
 		set.EndTransaction(time.Unix(1, 0))
-		if err := reg.Add(set); err != nil {
-			b.Fatal(err)
+		if err := fan.reg.Add(set); err != nil {
+			tb.Fatal(err)
 		}
-		sets[i] = set
+		fan.sets[i] = set
 	}
-	round := uint64(1)
-	tick := func() {
-		round++
-		for _, s := range sets {
-			s.BeginTransaction()
-			s.SetU64(3, round) // one moving metric out of 64
-			s.EndTransaction(time.Unix(int64(round), 0))
-		}
-	}
+	return fan
+}
 
-	run := func(b *testing.B, f SockFactory, ack bool) {
-		ln, err := f.Listen("127.0.0.1:0", NewServer(reg))
+// tick moves one metric out of 64 in every set.
+func (fan *deltaFanIn) tick() {
+	fan.round++
+	for _, s := range fan.sets {
+		s.BeginTransaction()
+		s.SetU64(3, fan.round)
+		s.EndTransaction(time.Unix(int64(fan.round), 0))
+	}
+}
+
+// bytesPerSample pulls every set once in full over a fresh f connection, then
+// runs rounds of tick plus one batched pull of every set (acknowledging the
+// chunk each buffer holds when ack is set) and returns the wire bytes received
+// per pulled sample over those rounds. A benchmark times only the rounds.
+func (fan *deltaFanIn) bytesPerSample(tb testing.TB, f SockFactory, ack bool, rounds int) float64 {
+	ln, err := f.Listen("127.0.0.1:0", NewServer(fan.reg))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := f.Dial(ln.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	if _, err := conn.Dir(ctx); err != nil { // negotiates capabilities
+		tb.Fatal(err)
+	}
+	ops := make([]UpdateOp, 0, len(fan.sets))
+	mirrors := make([]*metric.Set, 0, len(fan.sets))
+	for _, name := range fan.reg.Dir() {
+		rs, err := conn.Lookup(ctx, name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		defer ln.Close()
-		conn, err := f.Dial(ln.Addr())
+		mir, err := rs.Meta().NewMirror()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		defer conn.Close()
-		ctx := context.Background()
-		if _, err := conn.Dir(ctx); err != nil { // negotiates capabilities
-			b.Fatal(err)
+		ops = append(ops, UpdateOp{Set: rs, Dst: make([]byte, rs.Meta().DataSize)})
+		mirrors = append(mirrors, mir)
+	}
+	// Prime with a full pull of every set; steady state starts acked.
+	UpdateAll(ctx, conn, ops)
+	for i := range ops {
+		if ops[i].Err != nil {
+			tb.Fatal(ops[i].Err)
 		}
-		ops := make([]UpdateOp, 0, nsets)
-		mirrors := make([]*metric.Set, 0, nsets)
-		for _, name := range reg.Dir() {
-			rs, err := conn.Lookup(ctx, name)
-			if err != nil {
-				b.Fatal(err)
+	}
+	base := conn.ConnStats()
+	b, timed := tb.(*testing.B)
+	if timed {
+		b.ResetTimer()
+	}
+	for n := 0; n < rounds; n++ {
+		fan.tick()
+		for i := range ops {
+			if ack {
+				// The updater's protocol: acknowledge the DGN of the chunk
+				// the buffer truthfully holds from the previous pull.
+				if err := mirrors[i].LoadData(ops[i].Dst[:ops[i].N]); err != nil {
+					tb.Fatal(err)
+				}
+				ops[i].AckDGN, ops[i].HaveAck = mirrors[i].DGN(), true
 			}
-			mir, err := rs.Meta().NewMirror()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ops = append(ops, UpdateOp{Set: rs, Dst: make([]byte, rs.Meta().DataSize)})
-			mirrors = append(mirrors, mir)
+			ops[i].N, ops[i].Err = 0, nil
 		}
-		// Prime with a full pull of every set; steady state starts acked.
 		UpdateAll(ctx, conn, ops)
 		for i := range ops {
 			if ops[i].Err != nil {
-				b.Fatal(ops[i].Err)
+				tb.Fatal(ops[i].Err)
 			}
 		}
-		base, _ := StatsOf(conn)
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			tick()
-			for i := range ops {
-				if ack {
-					// The updater's protocol: acknowledge the DGN of the chunk
-					// the buffer truthfully holds from the previous pull.
-					if err := mirrors[i].LoadData(ops[i].Dst[:ops[i].N]); err != nil {
-						b.Fatal(err)
-					}
-					ops[i].AckDGN, ops[i].HaveAck = mirrors[i].DGN(), true
-				}
-				ops[i].N, ops[i].Err = 0, nil
-			}
-			UpdateAll(ctx, conn, ops)
-			for i := range ops {
-				if ops[i].Err != nil {
-					b.Fatal(ops[i].Err)
-				}
-			}
-		}
-		b.StopTimer()
-		st, _ := StatsOf(conn)
-		if ack && st.DeltaUpdates == 0 {
-			b.Fatal("acknowledged pulls produced no deltas")
-		}
-		if !ack && st.DeltaUpdates != 0 {
-			b.Fatalf("unacknowledged pulls produced %d deltas", st.DeltaUpdates)
-		}
-		b.ReportMetric(float64(st.BytesIn-base.BytesIn)/float64(b.N*nsets), "B/sample")
 	}
-
-	b.Run("full", func(b *testing.B) { run(b, SockFactory{NoDelta: true}, false) })
-	b.Run("delta", func(b *testing.B) { run(b, SockFactory{}, true) })
+	if timed {
+		b.StopTimer()
+	}
+	st := conn.ConnStats()
+	if ack && st.DeltaUpdates == 0 {
+		tb.Fatal("acknowledged pulls produced no deltas")
+	}
+	if !ack && st.DeltaUpdates != 0 {
+		tb.Fatalf("unacknowledged pulls produced %d deltas", st.DeltaUpdates)
+	}
+	return float64(st.BytesIn-base.BytesIn) / float64(rounds*len(ops))
 }
 
 // BenchmarkSockConnScale stands up one sock transport server and drives a
@@ -369,7 +405,7 @@ func benchConnScale(b *testing.B, want int, f SockFactory) {
 	}
 	var total ConnStats
 	for i := range peers {
-		st, _ := StatsOf(peers[i])
+		st := peers[i].ConnStats()
 		total.Add(st)
 	}
 	if total.DeltaUpdates == 0 {

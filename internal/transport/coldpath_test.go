@@ -348,7 +348,7 @@ func TestCorkSymmetricClientHalfNotStranded(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 300; i++ {
-		if _, err := smpConn.(DirGenConn).DirGen(ctx); err != nil {
+		if _, err := smpConn.DirGen(ctx); err != nil {
 			t.Fatalf("client-half round trip %d during a serving burst: %v", i, err)
 		}
 		op := [1]LookupOp{{Name: "set00"}}

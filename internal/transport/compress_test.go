@@ -184,7 +184,7 @@ func (p *adaptivePeer) pull(t *testing.T, k int, ack bool) (wire, offers, wins i
 	if ack && op.N > 0 {
 		op.AckDGN, op.HaveAck = p.mirrors[k].DGN(), true
 	}
-	st0, _ := StatsOf(p.conn)
+	st0 := p.conn.ConnStats()
 	sv0 := p.srv.Stats()
 	UpdateAll(context.Background(), p.conn, p.ops[k:k+1])
 	if op.Err != nil {
@@ -193,7 +193,7 @@ func (p *adaptivePeer) pull(t *testing.T, k int, ack bool) (wire, offers, wins i
 	if err := p.mirrors[k].LoadData(op.Dst[:op.N]); err != nil {
 		t.Fatalf("pull of op %d: %v", k, err)
 	}
-	st1, _ := StatsOf(p.conn)
+	st1 := p.conn.ConnStats()
 	sv1 := p.srv.Stats()
 	return st1.BytesIn - st0.BytesIn, sv1.DeflateOffers - sv0.DeflateOffers, sv1.DeflateWins - sv0.DeflateWins
 }
@@ -296,7 +296,7 @@ func testCompressionAdaptive(t *testing.T, delta, trace bool) {
 		alwaysWire += w
 		alwaysOffers += o
 	}
-	if st, _ := StatsOf(adaptive.conn); delta && st.DeltaUpdates != pulls-1 {
+	if st := adaptive.conn.ConnStats(); delta && st.DeltaUpdates != pulls-1 {
 		t.Errorf("delta shape: %d real deltas, want %d (the compressible set's, after its first pull)", st.DeltaUpdates, pulls-1)
 	} else if !delta && st.DeltaUpdates != 0 {
 		t.Errorf("full shape: %d deltas", st.DeltaUpdates)

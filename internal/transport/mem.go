@@ -31,7 +31,7 @@ type MemFactory struct {
 	Kind string
 	// Delay, when set, is invoked on connections dialed by this factory
 	// before each client operation, with the dialed address and the
-	// operation name: "dir", "lookup", "update", or — once per pipelined
+	// operation name: "dir", "dir_gen", "lookup", or — once per pipelined
 	// batch, however many ops it carries — "lookup_batch" and
 	// "update_batch". Tests use it to model round-trip latency or to stall a
 	// chosen peer.
@@ -127,6 +127,8 @@ func (l *memListener) alive() bool {
 	return !l.down
 }
 
+var _ Conn = (*memConn)(nil)
+
 // memConn is a direct-call client connection.
 type memConn struct {
 	l       *memListener
@@ -179,8 +181,8 @@ func (c *memConn) Dir(ctx context.Context) ([]string, error) {
 	return names, nil
 }
 
-// DirGen implements DirGenConn: a single atomic load on the serving
-// registry, with the Delay hook observing the poll like any other client op.
+// DirGen implements Conn: a single atomic load on the serving registry,
+// with the Delay hook observing the poll like any other client op.
 func (c *memConn) DirGen(ctx context.Context) (uint64, error) {
 	if err := c.check(ctx); err != nil {
 		return 0, err
@@ -253,23 +255,7 @@ type memRemoteSet struct {
 // Meta implements RemoteSet.
 func (rs *memRemoteSet) Meta() *metric.Meta { return rs.meta }
 
-// Update implements RemoteSet.
-func (rs *memRemoteSet) Update(ctx context.Context, dst []byte) (int, error) {
-	if err := rs.conn.check(ctx); err != nil {
-		return 0, err
-	}
-	rs.conn.pause("update")
-	n, err := rs.fetch(dst)
-	rs.conn.countOut(4) // the sock transport's handle word
-	rs.conn.countIn(n)
-	if err == nil {
-		rs.conn.countUpdate(false)
-	}
-	return n, err
-}
-
-// fetch copies the data chunk without re-checking or delaying; batch pulls
-// pay the connection check and Delay once for the whole batch.
+// fetch copies the data chunk into dst.
 func (rs *memRemoteSet) fetch(dst []byte) (int, error) {
 	if len(dst) < rs.set.DataSize() {
 		return 0, fmt.Errorf("transport: update buffer too small: %d < %d", len(dst), rs.set.DataSize())
@@ -305,19 +291,13 @@ func (rs *memRemoteSet) fetchDelta(dst []byte, since uint64, wasDelta *bool) (n,
 	return n, wire, nil
 }
 
-// UpdateBatch implements BatchUpdater: the in-process analogue of the sock
+// UpdateBatch implements Conn: the in-process analogue of the sock
 // transport's pipelining. One connection check and one Delay invocation
 // ("update_batch") cover the whole batch, mirroring how pipelined requests
 // share a single round trip on the wire.
 func (c *memConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	if len(ops) == 0 {
 		return
-	}
-	for i := range ops {
-		if rs, ok := ops[i].Set.(*memRemoteSet); !ok || rs.conn != c {
-			sequentialUpdates(ctx, ops)
-			return
-		}
 	}
 	if err := c.check(ctx); err != nil {
 		failOps(ops, err)
@@ -332,11 +312,16 @@ func (c *memConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	// Trace hook encodes the real TRC1 bytes, counted at their framed wire
 	// cost — so virtual-clock runs exercise the genuine codec.
 	traceOn := !c.noTrace && c.l.srv.Trace != nil
-	var bytesIn, bytesOut, done, deltas int64
+	var bytesIn, bytesOut, sent, done, deltas int64
 	for i := range ops {
-		rs := ops[i].Set.(*memRemoteSet)
 		ops[i].WasDelta = false
 		ops[i].Trace = ops[i].Trace[:0]
+		rs, ok := ops[i].Set.(*memRemoteSet)
+		if !ok || rs.conn != c {
+			ops[i].N, ops[i].Err = 0, errForeignHandle
+			continue
+		}
+		sent++
 		if traceOn {
 			ops[i].Trace = c.l.srv.Trace(rs.set, ops[i].Trace)
 			bytesIn += int64(traceLenPrefix + len(ops[i].Trace))
@@ -360,12 +345,12 @@ func (c *memConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	}
 	// One counter update per batch keeps the tap invisible to the update
 	// fan-in hot path.
-	c.msgsOut.Add(int64(len(ops)))
+	c.msgsOut.Add(sent)
 	c.bytesOut.Add(bytesOut)
-	c.msgsIn.Add(int64(len(ops)))
+	c.msgsIn.Add(sent)
 	c.bytesIn.Add(bytesIn)
 	c.batches.Add(1)
-	c.batchedOps.Add(int64(len(ops)))
+	c.batchedOps.Add(sent)
 	c.updates.Add(done)
 	c.deltaUpdates.Add(deltas)
 }

@@ -202,13 +202,10 @@ func TestUpdateBatchAllocs(t *testing.T) {
 // hook once per pipelined batch, not once per op.
 func TestMemUpdateBatchDelayOnce(t *testing.T) {
 	reg := newTestRegistry(t, 5)
-	var batches, perOp atomic.Int64
+	var batches atomic.Int64
 	fac := MemFactory{Net: NewNetwork(), Delay: func(addr, op string) {
-		switch op {
-		case "update_batch":
+		if op == "update_batch" {
 			batches.Add(1)
-		case "update":
-			perOp.Add(1)
 		}
 	}}
 	if _, err := fac.Listen("node", NewServer(reg)); err != nil {
@@ -223,9 +220,6 @@ func TestMemUpdateBatchDelayOnce(t *testing.T) {
 	checkOps(t, ops)
 	if got := batches.Load(); got != 1 {
 		t.Errorf("update_batch delays = %d want 1", got)
-	}
-	if got := perOp.Load(); got != 0 {
-		t.Errorf("per-op update delays = %d want 0", got)
 	}
 }
 
@@ -270,7 +264,9 @@ func BenchmarkSockUpdate(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			sequentialUpdates(ctx, ops)
+			for i := range ops {
+				UpdateAll(ctx, conn, ops[i:i+1])
+			}
 		}
 	})
 	b.Run("pipelined", func(b *testing.B) {
@@ -345,7 +341,7 @@ func TestSockDeltaUpdates(t *testing.T) {
 			t.Errorf("op %d: acknowledged pull was not a delta", i)
 		}
 	}
-	st, _ := StatsOf(conn)
+	st := conn.ConnStats()
 	if st.Updates != 8 || st.DeltaUpdates != 4 {
 		t.Errorf("conn stats updates=%d delta=%d, want 8/4", st.Updates, st.DeltaUpdates)
 	}
@@ -425,7 +421,7 @@ func TestSockDeltaBytesPerSample(t *testing.T) {
 		if ops[0].Err != nil {
 			t.Fatal(ops[0].Err)
 		}
-		base, _ := StatsOf(conn)
+		base := conn.ConnStats()
 		const rounds = 50
 		for r := 0; r < rounds; r++ {
 			tick(uint64(2 + r))
@@ -438,7 +434,7 @@ func TestSockDeltaBytesPerSample(t *testing.T) {
 				t.Fatal(ops[0].Err)
 			}
 		}
-		st, _ := StatsOf(conn)
+		st := conn.ConnStats()
 		return float64(st.BytesIn-base.BytesIn) / rounds, st.DeltaUpdates
 	}
 
@@ -481,7 +477,7 @@ func TestSockDictionaryNames(t *testing.T) {
 		t.Fatalf("dir = %v", names)
 	}
 	sc := conn.(*sockConn)
-	st1, _ := StatsOf(conn)
+	st1 := conn.ConnStats()
 	sc.dmu.Lock()
 	ids := len(sc.rdict.ids)
 	sc.dmu.Unlock()
@@ -494,7 +490,7 @@ func TestSockDictionaryNames(t *testing.T) {
 	if _, err := conn.Dir(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st2, _ := StatsOf(conn)
+	st2 := conn.ConnStats()
 	if grew, first := st2.BytesIn-st1.BytesIn, st1.BytesIn; grew >= first {
 		t.Errorf("referencing dir response (%d B) not smaller than defining one (%d B)", grew, first)
 	}
@@ -543,7 +539,7 @@ func TestSockCompressionSavesBytes(t *testing.T) {
 		if _, err := conn.Dir(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		st1, _ := StatsOf(conn)
+		st1 := conn.ConnStats()
 		names, err := conn.Dir(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -551,7 +547,7 @@ func TestSockCompressionSavesBytes(t *testing.T) {
 		if len(names) != 40 {
 			t.Fatalf("dir = %d names", len(names))
 		}
-		st2, _ := StatsOf(conn)
+		st2 := conn.ConnStats()
 		return st2.BytesIn - st1.BytesIn
 	}
 	// NoDict isolates compression: dictionary refs would shrink the repeat
@@ -563,6 +559,10 @@ func TestSockCompressionSavesBytes(t *testing.T) {
 	}
 }
 
+// noCaps masks every capability: its connections advertise none and speak
+// the plain protocol that testdata/legacy_peer.frames pins.
+var noCaps = SockFactory{NoDelta: true, NoDict: true, NoCompress: true, NoTrace: true}
+
 // TestSockLegacyServerFallback peers a fully capable client with a legacy
 // (no-capability) server: everything must keep working over the plain
 // protocol — full updates despite acknowledged DGNs, un-dictionaried names,
@@ -570,7 +570,7 @@ func TestSockCompressionSavesBytes(t *testing.T) {
 func TestSockLegacyServerFallback(t *testing.T) {
 	reg := newTestRegistry(t, 3)
 	srv := NewServer(reg)
-	ln, err := SockFactory{Legacy: true}.Listen("127.0.0.1:0", srv)
+	ln, err := noCaps.Listen("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestSockLegacyServerFallback(t *testing.T) {
 			t.Errorf("op %d: delta from a legacy server", i)
 		}
 	}
-	if st, _ := StatsOf(conn); st.DeltaUpdates != 0 {
+	if st := conn.ConnStats(); st.DeltaUpdates != 0 {
 		t.Errorf("delta updates against legacy server = %d", st.DeltaUpdates)
 	}
 	if got := srv.Stats().DeltaUpdates; got != 0 {
@@ -627,7 +627,7 @@ func TestSockLegacyClientFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	conn, err := SockFactory{Legacy: true}.Dial(ln.Addr())
+	conn, err := noCaps.Dial(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestMemLegacyPeerFallback(t *testing.T) {
 			t.Errorf("op %d: NoDelta mem conn produced a delta", i)
 		}
 	}
-	if st, _ := StatsOf(conn); st.DeltaUpdates != 0 {
+	if st := conn.ConnStats(); st.DeltaUpdates != 0 {
 		t.Errorf("NoDelta mem conn counted %d delta updates", st.DeltaUpdates)
 	}
 }

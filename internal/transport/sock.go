@@ -38,14 +38,12 @@ const sockDefaultBuf = 4 << 10
 
 // SockFactory implements the sock transport: the paper's TCP socket
 // transport plugin. The zero value speaks the full protocol (delta
-// updates, dictionaries, compression) with capability-aware peers and
-// plain LDMS wire protocol with everything else.
+// updates, dictionaries, compression, traces) with capability-aware peers
+// and plain LDMS wire protocol with everything else
+// (testdata/legacy_peer.frames pins that plain image).
 type SockFactory struct {
-	// Legacy advertises no capabilities at all, making connections
-	// byte-identical to pre-capability builds. Mixed-version tests use it
-	// to stand in for an old peer.
-	Legacy bool
-	// NoDelta / NoDict / NoCompress / NoTrace mask individual capabilities.
+	// NoDelta / NoDict / NoCompress / NoTrace mask individual capabilities;
+	// with all four set a connection advertises none.
 	NoDelta    bool
 	NoDict     bool
 	NoCompress bool
@@ -58,9 +56,6 @@ type SockFactory struct {
 
 // caps returns the capability bits this factory's connections advertise.
 func (sf SockFactory) caps() uint32 {
-	if sf.Legacy {
-		return 0
-	}
 	c := uint32(capsAll)
 	if sf.NoDelta {
 		c &^= capDelta
@@ -190,6 +185,8 @@ func (l *sockListener) acceptLoop() {
 		}()
 	}
 }
+
+var _ Conn = (*sockConn)(nil)
 
 // sockConn is one symmetric TCP peer: a request client (Dir/Lookup/Update
 // toward the remote) and, when srv is set, a server for the remote's
@@ -797,8 +794,8 @@ func (sc *sockConn) Dir(ctx context.Context) ([]string, error) {
 	return names, nil
 }
 
-// DirGen implements DirGenConn: one small round trip for the remote
-// registry's directory generation.
+// DirGen implements Conn: one small round trip for the remote registry's
+// directory generation.
 func (sc *sockConn) DirGen(ctx context.Context) (uint64, error) {
 	resp, err := sc.roundTrip(ctx, msgDirGenReq, nil)
 	if err != nil {
@@ -928,30 +925,32 @@ func (sc *sockConn) Close() error {
 	return err
 }
 
-// UpdateBatch implements BatchUpdater: all request frames are written
-// under one write-lock hold with a single flush, then responses (matched
-// by request ID, which may arrive in any order relative to the remote's
-// own traffic on this symmetric connection) are awaited together. An
-// error frame for one op is recorded on that op alone.
+// UpdateBatch implements Conn: all request frames are written under one
+// write-lock hold with a single flush, then responses (matched by request
+// ID, which may arrive in any order relative to the remote's own traffic on
+// this symmetric connection) are awaited together. An error frame for one op
+// is recorded on that op alone.
 //
 // Ops that carry an acknowledged base DGN become delta update requests
 // when the peer negotiated the capability; the server's response is
 // either a delta patched into Dst or a full chunk (its fallback), and a
-// legacy peer simply never negotiates, leaving every op a full update.
+// peer without the capability never negotiates, leaving every op a full
+// update.
 func (sc *sockConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
-	if len(ops) == 0 {
-		return
-	}
 	for i := range ops {
 		if rs, ok := ops[i].Set.(*sockRemoteSet); !ok || rs.conn != sc {
-			// Foreign handle in the batch: no pipelining across
-			// connections, fall back to per-op round trips.
-			sequentialUpdates(ctx, ops)
+			// No frame of ours can name this handle: settle it here and
+			// pipeline the ops on either side of it.
+			ops[i].N, ops[i].Err, ops[i].WasDelta = 0, errForeignHandle, false
+			ops[i].Trace = ops[i].Trace[:0]
+			sc.UpdateBatch(ctx, ops[:i])
+			sc.UpdateBatch(ctx, ops[i+1:])
 			return
 		}
-	}
-	for i := range ops {
 		ops[i].N, ops[i].Err, ops[i].WasDelta = 0, errUnresolved, false
+	}
+	if len(ops) == 0 {
+		return
 	}
 	err := sc.pipeline(ctx, len(ops),
 		func(first uint64) error { return sc.writeUpdates(ops, first) },
@@ -1072,33 +1071,3 @@ type sockRemoteSet struct {
 
 // Meta implements RemoteSet.
 func (rs *sockRemoteSet) Meta() *metric.Meta { return rs.meta }
-
-// Update implements RemoteSet: always a full-chunk pull (delta updates
-// ride the batch path, which owns the acknowledged-DGN bookkeeping).
-func (rs *sockRemoteSet) Update(ctx context.Context, dst []byte) (int, error) {
-	var hb [4]byte
-	wireLE.PutUint32(hb[:], rs.handle)
-	resp, err := rs.conn.roundTrip(ctx, msgUpdateReq, hb[:])
-	if err != nil {
-		return 0, err
-	}
-	payload := resp.payload
-	if rs.conn.traceEnabled() {
-		// Single round trips have no op to carry the trace into; peel the
-		// prefix and discard it.
-		_, rest, err := splitTracePrefix(payload)
-		if err != nil {
-			putBuf(resp.payload)
-			return 0, err
-		}
-		payload = rest
-	}
-	if len(dst) < len(payload) {
-		putBuf(resp.payload)
-		return 0, fmt.Errorf("transport: update buffer too small: %d < %d", len(dst), len(payload))
-	}
-	n := copy(dst, payload)
-	putBuf(resp.payload)
-	rs.conn.countUpdate(false)
-	return n, nil
-}

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// exerciseConnStats pulls dir + lookup + one single and one batched update
-// over f and checks the connection's transfer counters move coherently.
+// exerciseConnStats pulls dir + lookup + a batch of one and a batch of two
+// updates over f and checks the connection's transfer counters move
+// coherently.
 func exerciseConnStats(t *testing.T, f Factory, addr string) {
 	t.Helper()
 	reg := newTestRegistry(t, 3)
@@ -21,10 +22,6 @@ func exerciseConnStats(t *testing.T, f Factory, addr string) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	if _, ok := StatsOf(conn); !ok {
-		t.Fatalf("%s connection keeps no stats", f.Name())
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -40,18 +37,18 @@ func exerciseConnStats(t *testing.T, f Factory, addr string) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, rs0.Meta().DataSize)
-	if _, err := rs0.Update(ctx, buf); err != nil {
+	if _, err := pullOne(ctx, conn, rs0, buf); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := StatsOf(conn)
+	before := conn.ConnStats()
 	if before.MsgsOut < 4 || before.MsgsIn < 4 {
 		t.Errorf("after dir+2 lookups+update: msgs = %+v", before)
 	}
 	if before.BytesIn == 0 || before.BytesOut == 0 {
 		t.Errorf("byte counters did not move: %+v", before)
 	}
-	if before.Batches != 0 {
-		t.Errorf("unexpected batches before UpdateBatch: %+v", before)
+	if before.Batches != 1 || before.BatchedOps != 1 || before.Updates != 1 {
+		t.Errorf("batch-of-one counters = %+v", before)
 	}
 
 	ops := []UpdateOp{
@@ -64,8 +61,8 @@ func exerciseConnStats(t *testing.T, f Factory, addr string) {
 			t.Fatalf("batch op %d: %v", i, ops[i].Err)
 		}
 	}
-	after, _ := StatsOf(conn)
-	if after.Batches != 1 || after.BatchedOps != 2 {
+	after := conn.ConnStats()
+	if after.Batches != 2 || after.BatchedOps != 3 || after.Updates != 3 {
 		t.Errorf("batch counters = %+v", after)
 	}
 	if after.MsgsOut < before.MsgsOut+2 || after.BytesIn <= before.BytesIn {

@@ -48,41 +48,34 @@ type Conn interface {
 	// that op alone, and only a connection-level failure (or ctx ending)
 	// fails the ops still pending. Callers normally go through LookupAll.
 	LookupBatch(ctx context.Context, ops []LookupOp)
+	// UpdateBatch fetches every op's data chunk, issuing each request before
+	// awaiting any response, so the batch pays one round-trip latency and
+	// one write flush. An op whose handle came from another connection, or
+	// that the peer answers with an error frame, fails alone; only a
+	// connection-level failure (or ctx ending) fails the ops still pending.
+	// Callers normally go through UpdateAll.
+	UpdateBatch(ctx context.Context, ops []UpdateOp)
+	// DirGen polls the remote registry's directory generation (bumped on
+	// every set add/remove). An aggregator in a tiered topology checks it
+	// once per pull pass and only re-runs the full dir/lookup handshake when
+	// membership actually changed, so joins and leaves propagate one pull
+	// interval per hop with O(1) steady-state cost.
+	DirGen(ctx context.Context) (uint64, error)
+	// ConnStats snapshots the connection's transfer counters.
+	ConnStats() ConnStats
 	// Close releases the connection.
 	Close() error
 }
 
 // RemoteSet is a handle to one metric set on the remote peer, the product
-// of a lookup.
+// of a lookup. Its data moves through the connection's UpdateBatch.
 type RemoteSet interface {
 	// Meta returns the metadata fetched at lookup time.
 	Meta() *metric.Meta
-	// Update fetches the current data chunk into dst, which must be at
-	// least Meta().DataSize bytes. It returns the number of bytes fetched.
-	Update(ctx context.Context, dst []byte) (int, error)
 }
 
-// DirGenConn is an optional Conn capability: poll the remote registry's
-// directory generation (bumped on every set add/remove). An aggregator in a
-// tiered topology checks it once per pull pass and only re-runs the full
-// dir/lookup handshake when membership actually changed, so joins and leaves
-// propagate one pull interval per hop with O(1) steady-state cost.
-type DirGenConn interface {
-	DirGen(ctx context.Context) (uint64, error)
-}
-
-// DirGenOf polls conn's directory generation when the transport supports it.
-func DirGenOf(ctx context.Context, conn Conn) (uint64, bool, error) {
-	dg, ok := conn.(DirGenConn)
-	if !ok {
-		return 0, false, nil
-	}
-	gen, err := dg.DirGen(ctx)
-	if err != nil {
-		return 0, true, err
-	}
-	return gen, true, nil
-}
+// errForeignHandle fails an update op whose handle another connection made.
+var errForeignHandle = errors.New("transport: set handle belongs to another connection")
 
 // LookupOp is one metadata fetch in a pipelined batch: Name is filled by the
 // caller; Set and Err carry the per-op result, exactly as Conn.Lookup would
@@ -93,10 +86,8 @@ type LookupOp struct {
 	Err  error
 }
 
-// LookupAll looks up every op's set over conn in one pipelined batch. It
-// sits beside UpdateAll as the cold-start half of the pull path, but unlike
-// it has no per-op fallback to choose: LookupBatch is part of Conn, so a
-// transport that cannot pipeline lookups does not compile.
+// LookupAll looks up every op's set over conn in one pipelined batch, the
+// cold-start half of the pull path beside UpdateAll.
 func LookupAll(ctx context.Context, conn Conn, ops []LookupOp) {
 	if len(ops) > 0 {
 		conn.LookupBatch(ctx, ops)
@@ -104,15 +95,15 @@ func LookupAll(ctx context.Context, conn Conn, ops []LookupOp) {
 }
 
 // UpdateOp is one data pull in a pipelined batch: Set and Dst are filled by
-// the caller; N and Err carry the per-op result, exactly as RemoteSet.Update
-// would return them.
+// the caller; N (the bytes fetched into Dst, which must hold at least
+// Set.Meta().DataSize bytes) and Err carry the per-op result.
 //
 // A caller whose Dst already holds the data chunk from a previous completed
 // pull may set AckDGN to that chunk's DGN and HaveAck true; transports that
 // negotiated delta updates then ask the server for only the metrics changed
-// since, patch them into Dst, and report WasDelta. Transports or peers
-// without the capability ignore the ack and perform a full pull — Dst ends
-// up holding the current chunk either way.
+// since, patch them into Dst, and report WasDelta. Connections without the
+// capability ignore the ack and perform a full pull — Dst ends up holding
+// the current chunk either way.
 type UpdateOp struct {
 	Set      RemoteSet
 	Dst      []byte
@@ -125,39 +116,14 @@ type UpdateOp struct {
 	// the connection negotiated the trace capability: the transport appends
 	// the block's bytes to Trace (reusing its capacity — pass a recycled
 	// slice truncated to length 0) before the op completes. Left at length
-	// 0 on legacy connections, transports without trace support, and
-	// errors. The bytes decode with obs.HopDecoder.
+	// 0 on connections without the capability and on errors. The bytes
+	// decode with obs.HopDecoder.
 	Trace []byte
 }
 
-// BatchUpdater is an optional Conn capability: issue every op's update
-// request before awaiting any response, amortizing the round-trip latency
-// and the per-frame write flush over the whole batch. An error on one op
-// (e.g. a stale handle answered with an error frame) is recorded on that op
-// alone; only a connection-level failure fails the remainder.
-type BatchUpdater interface {
-	UpdateBatch(ctx context.Context, ops []UpdateOp)
-}
-
-// UpdateAll fetches every op's data chunk over conn, pipelining through
-// UpdateBatch when the connection supports it and falling back to one
-// blocking round trip per op otherwise.
+// UpdateAll fetches every op's data chunk over conn in one pipelined batch.
 func UpdateAll(ctx context.Context, conn Conn, ops []UpdateOp) {
-	if b, ok := conn.(BatchUpdater); ok {
-		b.UpdateBatch(ctx, ops)
-		return
-	}
-	sequentialUpdates(ctx, ops)
-}
-
-// sequentialUpdates is the non-pipelined fallback: one round trip per op,
-// always a full chunk.
-func sequentialUpdates(ctx context.Context, ops []UpdateOp) {
-	for i := range ops {
-		ops[i].N, ops[i].Err = ops[i].Set.Update(ctx, ops[i].Dst)
-		ops[i].WasDelta = false
-		ops[i].Trace = ops[i].Trace[:0]
-	}
+	conn.UpdateBatch(ctx, ops)
 }
 
 // failOps records err on every op that has no result yet.
@@ -207,19 +173,6 @@ func (s ConnStats) BytesPerSample() float64 {
 		return 0
 	}
 	return float64(s.BytesIn) / float64(s.Updates)
-}
-
-// StatConn is implemented by connections that count their traffic.
-type StatConn interface {
-	ConnStats() ConnStats
-}
-
-// StatsOf returns conn's transfer counters, if it keeps any.
-func StatsOf(conn Conn) (ConnStats, bool) {
-	if sc, ok := conn.(StatConn); ok {
-		return sc.ConnStats(), true
-	}
-	return ConnStats{}, false
 }
 
 // connStats is the embeddable atomic counter block behind ConnStats.

@@ -34,6 +34,13 @@ func newTestRegistry(t *testing.T, n int) *metric.Registry {
 	return reg
 }
 
+// pullOne is a one-op UpdateAll: one full-chunk pull of rs into dst.
+func pullOne(ctx context.Context, conn Conn, rs RemoteSet, dst []byte) (int, error) {
+	op := [1]UpdateOp{{Set: rs, Dst: dst}}
+	UpdateAll(ctx, conn, op[:])
+	return op[0].N, op[0].Err
+}
+
 // exerciseTransport runs the full dir/lookup/update flow over any factory.
 func exerciseTransport(t *testing.T, f Factory, addr string) {
 	t.Helper()
@@ -73,7 +80,7 @@ func exerciseTransport(t *testing.T, f Factory, addr string) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, rs.Meta().DataSize)
-	n, err := rs.Update(ctx, buf)
+	n, err := pullOne(ctx, conn, rs, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +155,7 @@ func TestSockConcurrentUpdates(t *testing.T) {
 			}
 			buf := make([]byte, rs.Meta().DataSize)
 			for k := 0; k < 50; k++ {
-				if _, err := rs.Update(ctx, buf); err != nil {
+				if _, err := pullOne(ctx, conn, rs, buf); err != nil {
 					errs <- err
 					return
 				}
@@ -197,7 +204,7 @@ func TestRDMAOneSidedAccounting(t *testing.T) {
 	}
 	buf := make([]byte, rs.Meta().DataSize)
 	for i := 0; i < 100; i++ {
-		if _, err := rs.Update(ctx, buf); err != nil {
+		if _, err := pullOne(ctx, conn, rs, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +425,7 @@ func TestReversedConnectionInitiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, rs.Meta().DataSize)
-	if _, err := rs.Update(ctx, buf); err != nil {
+	if _, err := pullOne(ctx, peer.conn, rs, buf); err != nil {
 		t.Fatal(err)
 	}
 	mir, _ := rs.Meta().NewMirror()
