@@ -60,7 +60,6 @@ func main() {
 		httpWindow = flag.Duration("http-window", 0, "recent-window retention for /api/v1/series (default 10m; 0 keeps the default)")
 		httpPoints = flag.Int("http-points", 0, "max points kept per metric series (default 1024)")
 		httpShards = flag.Int("http-shards", 0, "window cache shard count, rounded up to a power of two (default 16)")
-		httpComp   = flag.Bool("http-compress", false, "compress window points with delta-of-delta + XOR encoding")
 		httpPProf  = flag.Bool("http-pprof", false, "also mount /debug/pprof on the gateway")
 
 		logLevel  = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
@@ -112,12 +111,11 @@ func main() {
 	}
 	if *httpAddr != "" {
 		bound, err := d.ServeHTTP(ldmsd.GatewayConfig{
-			Addr:     *httpAddr,
-			Window:   *httpWindow,
-			Points:   *httpPoints,
-			Shards:   *httpShards,
-			Compress: *httpComp,
-			PProf:    *httpPProf,
+			Addr:   *httpAddr,
+			Window: *httpWindow,
+			Points: *httpPoints,
+			Shards: *httpShards,
+			PProf:  *httpPProf,
 		})
 		if err != nil {
 			fatal(err)

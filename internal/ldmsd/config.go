@@ -35,8 +35,9 @@ import (
 //	                             listeners and producers created afterward;
 //	                             any other key is an error)
 //	http_listen addr=<addr> [window=<dur>] [points=<n>] [shards=<n>]
-//	             [compress=1] [pprof=1]
-//	                             (query & observability gateway)
+//	             [pprof=1]
+//	                             (query & observability gateway; any
+//	                             other key is an error)
 //	prdcr_add name=<p> xprt=<t> host=<addr> [interval=<us|dur>] [standby=1]
 //	prdcr_start name=<p>
 //	prdcr_stop name=<p>
@@ -444,16 +445,25 @@ func parseOnOff(key string, args map[string]string) (v, ok bool, err error) {
 	return false, false, fmt.Errorf("ldmsd: bad %s %q (want 0 or 1)", key, s)
 }
 
-// cmdHTTPListen starts the query & observability gateway.
+// httpListenKeys are the keys http_listen accepts, in the order its error
+// lists them.
+var httpListenKeys = []string{"addr", "window", "points", "shards", "pprof"}
+
+// cmdHTTPListen starts the query & observability gateway. A key it does
+// not know is an error, and then nothing starts.
 func (d *Daemon) cmdHTTPListen(args map[string]string) (string, error) {
+	for k := range args {
+		if !slices.Contains(httpListenKeys, k) {
+			return "", fmt.Errorf("ldmsd: http_listen: unknown key %q (accepted: %s)", k, strings.Join(httpListenKeys, ", "))
+		}
+	}
 	addr := args["addr"]
 	if addr == "" {
 		return "", fmt.Errorf("ldmsd: http_listen requires addr=")
 	}
 	cfg := GatewayConfig{
-		Addr:     addr,
-		PProf:    args["pprof"] == "1",
-		Compress: args["compress"] == "1",
+		Addr:  addr,
+		PProf: args["pprof"] == "1",
 	}
 	if v := args["window"]; v != "" {
 		w, err := parseInterval(v)

@@ -163,6 +163,36 @@ func TestXprtOptRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestHTTPListenRejectsUnknownKeys: the retired compress=1, or a misspelled
+// key, is an error naming the accepted keys, and starts no gateway, so the
+// same command without the bad key then succeeds.
+func TestHTTPListenRejectsUnknownKeys(t *testing.T) {
+	sch := sched.NewVirtual(time.Unix(0, 0))
+	d := virtualSampler(t, "n1", sch, transport.NewNetwork(), 0)
+	defer d.Stop()
+	for _, cmd := range []string{
+		"http_listen addr=127.0.0.1:0 compress=1",
+		"http_listen addr=127.0.0.1:0 point=64",
+	} {
+		_, err := d.Exec(cmd)
+		if err == nil || !strings.Contains(err.Error(), "accepted: addr, window, points, shards, pprof") {
+			t.Errorf("%s: err = %v, want unknown key naming the accepted keys", cmd, err)
+		}
+		d.mu.Lock()
+		gw := d.gw
+		d.mu.Unlock()
+		if gw != nil || d.Window() != nil {
+			t.Fatalf("%s started a gateway", cmd)
+		}
+	}
+	if _, err := d.Exec("http_listen addr=127.0.0.1:0 points=64"); err != nil {
+		t.Fatal(err)
+	}
+	if w := d.Window(); w == nil || w.Points() != 64 {
+		t.Fatalf("window after a good http_listen: %v", w)
+	}
+}
+
 func TestExecSynchronousStart(t *testing.T) {
 	sch := sched.NewVirtual(time.Unix(1000000007, 0))
 	d := virtualSampler(t, "n1", sch, transport.NewNetwork(), 0)

@@ -33,12 +33,10 @@ type virtualRunResult struct {
 
 // virtualPipelineRun drives a full sampler → aggregator → window/store
 // pipeline for 20 simulated seconds on a fresh virtual clock and
-// collects every observable output. compress selects the recent
-// window's storage mode; the codec is lossless on raw value bits, so
-// served results must not depend on it. noDelta models a legacy peer:
+// collects every observable output. noDelta models a legacy peer:
 // every pull moves a full data chunk, and since the delta codec is exact,
 // nothing downstream of the transport may differ.
-func virtualPipelineRun(t *testing.T, compress, noDelta bool) virtualRunResult {
+func virtualPipelineRun(t *testing.T, noDelta bool) virtualRunResult {
 	t.Helper()
 	sch := sched.NewVirtual(time.Unix(90000, 0))
 	net := transport.NewNetwork()
@@ -63,7 +61,7 @@ func virtualPipelineRun(t *testing.T, compress, noDelta bool) virtualRunResult {
 	defer agg.Stop()
 	// The gateway creates the recent window; started before any update
 	// pass so both runs observe from the first sample.
-	if _, err := agg.ServeHTTP(GatewayConfig{Addr: "127.0.0.1:0", Compress: compress}); err != nil {
+	if _, err := agg.ServeHTTP(GatewayConfig{Addr: "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,8 +112,8 @@ strgp_start name=s1
 // store/flush stamps, and the updater's pass timing all read time.Now
 // and differed run to run.
 func TestVirtualRunDeterministic(t *testing.T) {
-	a := virtualPipelineRun(t, false, false)
-	b := virtualPipelineRun(t, false, false)
+	a := virtualPipelineRun(t, false)
+	b := virtualPipelineRun(t, false)
 
 	// The runs exercise the delta protocol, not just full chunks: after the
 	// first pull of each set, every steady-state pull is a delta.
@@ -169,47 +167,14 @@ func TestVirtualRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestVirtualRunDeterministicCompressed pins two properties of the
-// compressed window: two compressed runs are byte-identical, and —
-// because Gorilla encoding is lossless on the raw 64-bit value
-// representation — a compressed run serves exactly the same series,
-// rows and histograms as an uncompressed one.
-func TestVirtualRunDeterministicCompressed(t *testing.T) {
-	plain := virtualPipelineRun(t, false, false)
-	c1 := virtualPipelineRun(t, true, false)
-	c2 := virtualPipelineRun(t, true, false)
-
-	if len(c1.series) == 0 || len(c1.series[0].Points) == 0 {
-		t.Fatal("compressed window served no MemFree points")
-	}
-	if !reflect.DeepEqual(c1.series, c2.series) {
-		t.Errorf("compressed runs serve different series:\n run1: %+v\n run2: %+v", c1.series, c2.series)
-	}
-	if c1.csv != c2.csv {
-		t.Errorf("compressed runs stored different CSV rows:\n run1:\n%s\n run2:\n%s", c1.csv, c2.csv)
-	}
-	if c1.stats != c2.stats {
-		t.Errorf("compressed runs differ in stats:\n run1: %+v\n run2: %+v", c1.stats, c2.stats)
-	}
-	if !reflect.DeepEqual(plain.series, c1.series) {
-		t.Errorf("compression changed served series:\n plain: %+v\n compressed: %+v", plain.series, c1.series)
-	}
-	if plain.csv != c1.csv {
-		t.Errorf("compression changed stored rows:\n plain:\n%s\n compressed:\n%s", plain.csv, c1.csv)
-	}
-	if plain.window != c1.window {
-		t.Errorf("compression changed the window-hop histogram:\n plain: %+v\n compressed: %+v", plain.window, c1.window)
-	}
-}
-
 // TestVirtualRunDeltaEquivalence pins the delta protocol's exactness at the
 // system level: a pipeline pulling deltas and a pipeline pulling only full
 // chunks (a legacy peer) must produce byte-identical windows, stored rows,
 // histograms and status output — the wire encoding may never leak into what
 // the daemon observes.
 func TestVirtualRunDeltaEquivalence(t *testing.T) {
-	delta := virtualPipelineRun(t, false, false)
-	full := virtualPipelineRun(t, false, true)
+	delta := virtualPipelineRun(t, false)
+	full := virtualPipelineRun(t, true)
 
 	if delta.deltaUpdates == 0 {
 		t.Fatal("delta run moved no delta updates")

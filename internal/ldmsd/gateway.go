@@ -33,11 +33,6 @@ type GatewayConfig struct {
 	// Shards is the window's set-index lock-stripe count, rounded up to
 	// a power of two (0 = query.DefaultShards).
 	Shards int
-	// Compress stores sealed window history Gorilla-compressed
-	// (delta-of-delta timestamps + XOR values), cutting RAM per
-	// retained point ≥5× at the price of decode-on-query for history
-	// older than the uncompressed head.
-	Compress bool
 	// PProf additionally mounts net/http/pprof under /debug/pprof/.
 	PProf bool
 }
@@ -47,6 +42,17 @@ type gatewayState struct {
 	srv *http.Server
 	ln  net.Listener
 }
+
+// A gateway client must send its request header within
+// gatewayReadHeaderTimeout of the connection starting to read one, and a
+// keep-alive connection may sit idle between requests for
+// gatewayIdleTimeout. Dashboards and probes poll every few hundred
+// milliseconds at most, so neither cuts a live client; both bound what a
+// client that connects and goes quiet can hold.
+const (
+	gatewayReadHeaderTimeout = time.Second
+	gatewayIdleTimeout       = time.Minute
+)
 
 // staleErrorStreak is how many consecutive failed pulls mark a producer
 // stale on /healthz.
@@ -69,7 +75,6 @@ func (d *Daemon) ServeHTTP(cfg GatewayConfig) (string, error) {
 			Points:    cfg.Points,
 			Retention: retention,
 			Shards:    cfg.Shards,
-			Compress:  cfg.Compress,
 		})
 	}
 	if w != nil {
@@ -100,7 +105,11 @@ func (d *Daemon) ServeHTTP(cfg GatewayConfig) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ldmsd %s: gateway: %w", d.name, err)
 	}
-	srv := &http.Server{Handler: gw.Handler()}
+	srv := &http.Server{
+		Handler:           gw.Handler(),
+		ReadHeaderTimeout: gatewayReadHeaderTimeout,
+		IdleTimeout:       gatewayIdleTimeout,
+	}
 
 	d.mu.Lock()
 	if d.stopped {

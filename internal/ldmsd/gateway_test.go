@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"goldms/internal/metric"
 	"goldms/internal/procfs"
 	"goldms/internal/transport"
 )
@@ -321,9 +324,9 @@ func TestGatewayEndToEnd(t *testing.T) {
 // sets, relying on -race to catch torn reads.
 func TestGatewayReadsRaceUpdates(t *testing.T) {
 	_, agg := realPipeline(t)
-	// Compressed + sharded window: the race must also cover the
-	// compressed append/decode paths and the striped set index.
-	addr, err := agg.Exec("http_listen addr=127.0.0.1:0 shards=8 compress=1")
+	// A sharded window of 8 points: the race must also cover the striped
+	// set index and the change log's eviction, which wraps every 8 samples.
+	addr, err := agg.Exec("http_listen addr=127.0.0.1:0 shards=8 points=8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,5 +385,173 @@ func TestGatewayReadsRaceUpdates(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestGatewayDropsSilentClient: a client that connects to the gateway and
+// sends nothing is disconnected once the header timeout runs out, and
+// after Stop the daemon's goroutines, the gateway's included, are gone.
+func TestGatewayDropsSilentClient(t *testing.T) {
+	t.Parallel()
+	baseline := runtime.NumGoroutine()
+	d, err := New(Options{Name: "agg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := d.ServeHTTP(GatewayConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		d.Stop()
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		d.Stop()
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(gatewayReadHeaderTimeout + time.Second))
+	_, err = io.ReadAll(conn)
+	conn.Close()
+	if err != nil {
+		t.Errorf("silent client still connected after %v: %v", time.Since(start), err)
+	}
+	d.Stop()
+	waitUntil(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+		fmt.Sprintf("goroutines back to the baseline of %d", baseline))
+}
+
+// TestGatewaySeriesServesWrittenValues is the bench reader's series check
+// over sock loopback: a leaf writes 64-metric sets whose metrics change in
+// rotating groups of 8, an aggregator with an 8-point window pulls them,
+// and every point /api/v1/series serves must equal the value the leaf
+// wrote last, at or before that point's sample, into that metric.
+func TestGatewaySeriesServesWrittenValues(t *testing.T) {
+	const (
+		sets, card, groups = 4, 64, 8
+		samples            = 60
+		step               = time.Millisecond // stamp spacing: a stamp names its sample
+	)
+	leaf, err := New(Options{Name: "leaf", Transports: []transport.Factory{transport.SockFactory{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Stop()
+	sch := metric.NewSchema("rot")
+	for m := 0; m < card; m++ {
+		sch.MustAddMetric(fmt.Sprintf("m%03d", m), metric.TypeU64)
+	}
+	written := make([]*metric.Set, sets)
+	for i := range written {
+		s, err := metric.New(fmt.Sprintf("leaf/rot%d", i), sch, metric.WithCompID(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.Registry().Add(s); err != nil {
+			t.Fatal(err)
+		}
+		written[i] = s
+	}
+	addr, err := leaf.Listen("sock", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	agg, err := New(Options{Name: "agg", Transports: []transport.Factory{transport.SockFactory{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Stop()
+	if _, err := agg.ExecScript(`
+prdcr_add name=leaf xprt=sock host=` + addr + ` interval=20000
+prdcr_start name=leaf
+updtr_add name=u interval=5000
+updtr_prdcr_add name=u prdcr=leaf
+updtr_start name=u
+`); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := agg.Exec("http_listen addr=127.0.0.1:0 points=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// value is what metric m of set id holds after sample seq: group g is
+	// rewritten on every seq with seq mod groups == g.
+	value := func(id uint64, m int, seq int64) uint64 {
+		last := seq - ((seq-int64(m/groups))%groups+groups)%groups
+		if last <= 0 {
+			return 0
+		}
+		return id<<40 | uint64(m)<<20 | uint64(last)
+	}
+	base := time.Now().Truncate(time.Second)
+	check := func() int {
+		served := 0
+		for i := range written {
+			id := uint64(i + 1)
+			for _, m := range []int{0, 7, 8, 31, 56, 63} {
+				code, body := httpGet(t, fmt.Sprintf("http://%s/api/v1/series?metric=m%03d&comp=%d", gw, m, id))
+				if code != http.StatusOK {
+					t.Fatalf("series: status %d: %s", code, body)
+				}
+				var v struct {
+					Series []struct {
+						Points []struct {
+							Time  time.Time   `json:"time"`
+							Value json.Number `json:"value"`
+						} `json:"points"`
+					} `json:"series"`
+				}
+				if err := json.Unmarshal(body, &v); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range v.Series {
+					if len(s.Points) > 8 {
+						t.Fatalf("set %d m%03d: %d points from an 8-point window", id, m, len(s.Points))
+					}
+					for _, p := range s.Points {
+						seq := int64(p.Time.Sub(base) / step)
+						if got, want := p.Value.String(), fmt.Sprint(value(id, m, seq)); got != want {
+							t.Fatalf("set %d m%03d sample %d: served %s, wrote %s", id, m, seq, got, want)
+						}
+						served++
+					}
+				}
+			}
+		}
+		return served
+	}
+	// inWindow waits until the window holds sample seq of every set.
+	inWindow := func(seq int64) {
+		at := base.Add(time.Duration(seq) * step)
+		waitUntil(t, 5*time.Second, func() bool {
+			latest := agg.Window().Latest("m000", 0)
+			for _, s := range latest {
+				if !s.Points[0].Time.Equal(at) {
+					return false
+				}
+			}
+			return len(latest) == sets
+		}, fmt.Sprintf("sample %d in the window", seq))
+	}
+	for seq := int64(1); seq <= samples; seq++ {
+		g := int(seq % groups)
+		for i, s := range written {
+			s.BeginTransaction()
+			for m := g * groups; m < (g+1)*groups; m++ {
+				s.SetU64(m, value(uint64(i+1), m, seq))
+			}
+			s.EndTransaction(base.Add(time.Duration(seq) * step))
+		}
+		// Every other sample may be overwritten before a pull sees it.
+		if seq%2 == 0 {
+			inWindow(seq)
+		}
+		if seq%10 == 0 {
+			check()
+		}
+	}
+	if served := check(); served < sets*6*8 {
+		t.Fatalf("served %d points, want the full 8 of every series", served)
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // fillAggWindow loads 4 producers × 6 samples at a 1 s cadence; producer
 // p's sample i has a = p*100 + i.
-func fillAggWindow(t *testing.T, compress bool) (*Window, time.Time) {
+func fillAggWindow(t *testing.T) (*Window, time.Time) {
 	t.Helper()
-	w := NewWindowOpts(WindowOptions{Points: 256, Retention: time.Hour, Compress: compress})
+	w := NewWindowOpts(WindowOptions{Points: 256, Retention: time.Hour})
 	// Align to the widest step the tests use so buckets don't straddle.
 	base := time.Now().Truncate(2 * time.Second)
 	for p := 1; p <= 4; p++ {
@@ -25,54 +25,49 @@ func fillAggWindow(t *testing.T, compress bool) (*Window, time.Time) {
 }
 
 func TestAggregateWholeWindow(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "rings"
-		if compress {
-			name = "compressed"
+	// The window keeps every series in a fixed ring of samples.
+	t.Run("rings", func(t *testing.T) {
+		w, base := fillAggWindow(t)
+		res, err := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "sum", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			w, base := fillAggWindow(t, compress)
-			res, err := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "sum", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SeriesCount != 4 || len(res.Points) != 1 {
-				t.Fatalf("sum result = %+v", res)
-			}
-			// sum over p=1..4, i=0..5 of p*100+i = 100*(1+2+3+4)*6 + 4*(0+..+5)
-			want := float64(100*10*6 + 4*15)
-			if res.Points[0].Value != want {
-				t.Fatalf("sum = %g, want %g", res.Points[0].Value, want)
-			}
-			if res.Points[0].Count != 24 {
-				t.Fatalf("count = %d, want 24", res.Points[0].Count)
-			}
-			// Whole-window bucket is stamped at the newest folded sample.
-			if got := res.Points[0].Time; !got.Equal(base.Add(5 * time.Second)) {
-				t.Fatalf("bucket time = %v, want %v", got, base.Add(5*time.Second))
-			}
+		if res.SeriesCount != 4 || len(res.Points) != 1 {
+			t.Fatalf("sum result = %+v", res)
+		}
+		// sum over p=1..4, i=0..5 of p*100+i = 100*(1+2+3+4)*6 + 4*(0+..+5)
+		want := float64(100*10*6 + 4*15)
+		if res.Points[0].Value != want {
+			t.Fatalf("sum = %g, want %g", res.Points[0].Value, want)
+		}
+		if res.Points[0].Count != 24 {
+			t.Fatalf("count = %d, want 24", res.Points[0].Count)
+		}
+		// Whole-window bucket is stamped at the newest folded sample.
+		if got := res.Points[0].Time; !got.Equal(base.Add(5 * time.Second)) {
+			t.Fatalf("bucket time = %v, want %v", got, base.Add(5*time.Second))
+		}
 
-			mx, err := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "max", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mx.Points[0].Value != 405 {
-				t.Fatalf("max = %g, want 405", mx.Points[0].Value)
-			}
-			mn, _ := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "min", 0)
-			if mn.Points[0].Value != 100 {
-				t.Fatalf("min = %g, want 100", mn.Points[0].Value)
-			}
-			avg, _ := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "avg", 0)
-			if avg.Points[0].Value != want/24 {
-				t.Fatalf("avg = %g, want %g", avg.Points[0].Value, want/24)
-			}
-		})
-	}
+		mx, err := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "max", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mx.Points[0].Value != 405 {
+			t.Fatalf("max = %g, want 405", mx.Points[0].Value)
+		}
+		mn, _ := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "min", 0)
+		if mn.Points[0].Value != 100 {
+			t.Fatalf("min = %g, want 100", mn.Points[0].Value)
+		}
+		avg, _ := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "avg", 0)
+		if avg.Points[0].Value != want/24 {
+			t.Fatalf("avg = %g, want %g", avg.Points[0].Value, want/24)
+		}
+	})
 }
 
 func TestAggregateStepBuckets(t *testing.T) {
-	w, base := fillAggWindow(t, false)
+	w, base := fillAggWindow(t)
 	res, err := w.Aggregate("a", 0, base.Add(-time.Minute), 2*time.Second, "count", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +87,7 @@ func TestAggregateStepBuckets(t *testing.T) {
 }
 
 func TestAggregateQuantileAndComp(t *testing.T) {
-	w, base := fillAggWindow(t, false)
+	w, base := fillAggWindow(t)
 	med, err := w.Aggregate("a", 0, base.Add(-time.Minute), 0, "quantile", 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +116,7 @@ func TestAggregateQuantileAndComp(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	w, base := fillAggWindow(t, false)
+	w, base := fillAggWindow(t)
 	if _, err := w.Aggregate("a", 0, base, 0, "median", 0); err == nil {
 		t.Fatal("unknown func accepted")
 	}

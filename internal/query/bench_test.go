@@ -104,120 +104,91 @@ func BenchmarkWindowObserve(b *testing.B) {
 // the last 30 s plus, every 16th op, a cross-producer aggregate. CI
 // asserts the custom metrics: qps ≥ 5000 and p99-ms < 5.
 func BenchmarkQueryConcurrent(b *testing.B) {
-	for _, compress := range []bool{false, true} {
-		name := "rings"
-		if compress {
-			name = "compressed"
+	const (
+		producers = 64
+		nmetrics  = 16
+		points    = 600
+	)
+	w := NewWindowOpts(WindowOptions{Points: points, Retention: time.Hour})
+	sch := metric.NewSchema("bench")
+	for m := 0; m < nmetrics; m++ {
+		sch.MustAddMetric(fmt.Sprintf("m%02d", m), metric.TypeU64)
+	}
+	sets := make([]*metric.Set, producers)
+	base := time.Now().Add(-points * time.Second)
+	for p := range sets {
+		set, err := metric.New(fmt.Sprintf("n%03d/bench", p), sch, metric.WithCompID(uint64(p+1)))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			const (
-				producers = 64
-				nmetrics  = 16
-				points    = 600
-			)
-			w := NewWindowOpts(WindowOptions{
-				Points: points, Retention: time.Hour, Compress: compress,
-			})
-			sch := metric.NewSchema("bench")
-			for m := 0; m < nmetrics; m++ {
-				sch.MustAddMetric(fmt.Sprintf("m%02d", m), metric.TypeU64)
-			}
-			sets := make([]*metric.Set, producers)
-			base := time.Now().Add(-points * time.Second)
-			for p := range sets {
-				set, err := metric.New(fmt.Sprintf("n%03d/bench", p), sch, metric.WithCompID(uint64(p+1)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sets[p] = set
-				for i := 0; i < points; i++ {
-					set.BeginTransaction()
-					set.SetValues(func(bt *metric.Batch) {
-						for m := 0; m < nmetrics; m++ {
-							bt.SetU64(m, uint64(i*m))
-						}
-					})
-					set.EndTransaction(base.Add(time.Duration(i) * time.Second))
-					w.Observe(set)
-				}
-			}
-
-			// Live writer: one full update pass (all 64 sets) every 3 ms.
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				v := uint64(points)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					ts := time.Now()
-					for _, set := range sets {
-						set.BeginTransaction()
-						set.SetU64(0, v)
-						set.EndTransaction(ts)
-						w.Observe(set)
-					}
-					v++
-					time.Sleep(3 * time.Millisecond)
-				}
-			}()
-
-			var hist obs.Hist
-			var ops atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			b.RunParallel(func(pb *testing.PB) {
-				n := 0
-				for pb.Next() {
-					n++
-					comp := uint64(n%producers) + 1
-					m := fmt.Sprintf("m%02d", n%nmetrics)
-					t0 := time.Now()
-					if n%16 == 0 {
-						if _, err := w.Aggregate(m, 0, time.Now().Add(-30*time.Second), 5*time.Second, "avg", 0); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						w.Query(m, comp, time.Now().Add(-30*time.Second))
-					}
-					hist.Record(time.Since(t0))
-					ops.Add(1)
+		sets[p] = set
+		for i := 0; i < points; i++ {
+			set.BeginTransaction()
+			set.SetValues(func(bt *metric.Batch) {
+				for m := 0; m < nmetrics; m++ {
+					bt.SetU64(m, uint64(i*m))
 				}
 			})
-			elapsed := time.Since(start)
-			b.StopTimer()
-			close(stop)
-			<-done
-			if elapsed > 0 {
-				b.ReportMetric(float64(ops.Load())/elapsed.Seconds(), "qps")
-			}
-			p99 := hist.Snapshot().Quantile(0.99)
-			b.ReportMetric(float64(p99)/float64(time.Millisecond), "p99-ms")
-		})
+			set.EndTransaction(base.Add(time.Duration(i) * time.Second))
+			w.Observe(set)
+		}
 	}
-}
 
-// BenchmarkCompressDecode measures serving a full query from sealed
-// blocks: decode of a ~1024-point compressed series.
-func BenchmarkCompressDecode(b *testing.B) {
-	c := newCSeries(1024)
-	base := time.Unix(1700000000, 0).UnixNano()
-	for i := 0; i < 2*1024; i++ {
-		c.push(base+int64(i)*int64(time.Second), uint64(i))
-	}
-	out := make([]Point, 0, c.count())
+	// Live writer: one full update pass (all 64 sets) every 3 ms.
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v := uint64(points)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ts := time.Now()
+			for _, set := range sets {
+				set.BeginTransaction()
+				set.SetU64(0, v)
+				set.EndTransaction(ts)
+				w.Observe(set)
+			}
+			v++
+			time.Sleep(3 * time.Millisecond)
+		}
+	}()
+
+	var hist obs.Hist
+	var ops atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		out = c.appendSince(out[:0], 0)
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		n := 0
+		for pb.Next() {
+			n++
+			comp := uint64(n%producers) + 1
+			m := fmt.Sprintf("m%02d", n%nmetrics)
+			t0 := time.Now()
+			if n%16 == 0 {
+				if _, err := w.Aggregate(m, 0, time.Now().Add(-30*time.Second), 5*time.Second, "avg", 0); err != nil {
+					b.Error(err)
+					return
+				}
+			} else {
+				w.Query(m, comp, time.Now().Add(-30*time.Second))
+			}
+			hist.Record(time.Since(t0))
+			ops.Add(1)
+		}
+	})
+	elapsed := time.Since(start)
+	b.StopTimer()
+	close(stop)
+	<-done
+	if elapsed > 0 {
+		b.ReportMetric(float64(ops.Load())/elapsed.Seconds(), "qps")
 	}
-	if len(out) != c.count() {
-		b.Fatalf("decoded %d points, want %d", len(out), c.count())
-	}
+	p99 := hist.Snapshot().Quantile(0.99)
+	b.ReportMetric(float64(p99)/float64(time.Millisecond), "p99-ms")
 }

@@ -786,13 +786,8 @@ func (g *Gateway) handleExposition(w http.ResponseWriter, r *http.Request) {
 		e.Gauge("ldmsd_window_sets", "Set instances tracked by the recent window.", self, float64(ws.SeriesSets))
 		e.Gauge("ldmsd_window_series", "Metric series tracked by the recent window.", self, float64(ws.Series))
 		e.Gauge("ldmsd_window_points", "Samples currently retained across all window series.", self, float64(ws.Points))
-		e.Gauge("ldmsd_window_bytes", "Window storage footprint: timestamp columns, value matrices, sealed blocks.", self, float64(ws.Bytes))
+		e.Gauge("ldmsd_window_bytes", "Window storage footprint: the capacity of every set's stamps, change log and whole rows.", self, float64(ws.Bytes))
 		e.Gauge("ldmsd_window_shards", "Lock stripes over the window set index.", self, float64(g.Window.Shards()))
-		compressed := 0.0
-		if g.Window.Compressed() {
-			compressed = 1
-		}
-		e.Gauge("ldmsd_window_compressed", "1 when sealed window history is Gorilla-compressed.", self, compressed)
 		e.Counter("ldmsd_window_observed_total", "Samples recorded into the recent window.", self, float64(ws.Observed))
 		e.Counter("ldmsd_window_skipped_total", "Samples the window dropped (inconsistent or stale DGN).", self, float64(ws.Skipped))
 		e.Counter("ldmsd_window_queries_total", "Series/latest queries answered from the window.", self, float64(ws.Queries))

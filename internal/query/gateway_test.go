@@ -217,7 +217,7 @@ func TestExpoFormat(t *testing.T) {
 func testGatewayHistory(t *testing.T) (*httptest.Server, time.Time) {
 	t.Helper()
 	reg := metric.NewRegistry()
-	w := NewWindowOpts(WindowOptions{Points: 64, Retention: time.Hour, Shards: 4, Compress: true})
+	w := NewWindowOpts(WindowOptions{Points: 64, Retention: time.Hour, Shards: 4})
 	base := time.Now().Truncate(4 * time.Second).Add(-time.Minute)
 	for p := 1; p <= 3; p++ {
 		s := testSet(t, fmt.Sprintf("n%d/win", p), uint64(p))
@@ -338,8 +338,7 @@ func TestGatewayAggregate(t *testing.T) {
 	getJSON(t, srv2.URL+"/api/v1/aggregate?metric=a", 503)
 }
 
-// TestGatewayExpositionWindowKnobs asserts the new shard/compression
-// gauges and the aggregate counter reach /metrics.
+// TestGatewayExpositionWindowKnobs asserts the shard gauge and the aggregate counter reach /metrics.
 func TestGatewayExpositionWindowKnobs(t *testing.T) {
 	srv, _ := testGatewayHistory(t)
 	getJSON(t, srv.URL+"/api/v1/aggregate?metric=a&window=10m", 200)
@@ -353,7 +352,6 @@ func TestGatewayExpositionWindowKnobs(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`ldmsd_window_shards{daemon="agg-test"} 4`,
-		`ldmsd_window_compressed{daemon="agg-test"} 1`,
 		`ldmsd_window_aggregates_total{daemon="agg-test"} 1`,
 		"# TYPE ldmsd_window_points gauge",
 		"# TYPE ldmsd_window_bytes gauge",

@@ -13,11 +13,12 @@ import (
 	"goldms/internal/metric"
 )
 
-// Differential test of the set block: seeded random interleavings of
+// Differential test of the change log: seeded random interleavings of
 // Observe (fresh, DGN-stale, inconsistent), Query, Latest and Forget run
-// against a plain and a compressed window at once and against refWindow, a
-// slice-of-samples model that knows nothing about rings, matrices or
-// sealing. All three must serve the same Series.
+// against a window and against refWindow, a slice-of-samples model that
+// knows nothing about rings, masks or value logs. Both must serve the same
+// Series. The seeded runs write random values into every metric; the shape
+// runs change chosen metrics of one set per sample, the way samplers do.
 
 // refSample is one accepted sample as the model keeps it.
 type refSample struct {
@@ -208,12 +209,20 @@ func fillSample(rng *rand.Rand, set *metric.Set, ctr *uint64) {
 
 func TestWindowModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		// Budgets below, at and above the sealed block size, so the
-		// compressed window crosses zero, one and several seals.
-		points := []int{3, 8, blockPoints, blockPoints + 2, 300, 40}[seed-1]
+		points := []int{3, 8, 128, 130, 300, 40}[seed-1]
 		t.Run(fmt.Sprintf("seed=%d/points=%d", seed, points), func(t *testing.T) {
 			runWindowModel(t, seed, points)
 		})
+	}
+	// Cards around the mask's 64-bit word boundary and one of many words.
+	for _, shape := range changeShapes {
+		for _, card := range []int{1, 63, 64, 65, 512} {
+			for _, points := range []int{3, 8, 64, 300} {
+				t.Run(fmt.Sprintf("shape=%s/card=%d/points=%d", shape.name, card, points), func(t *testing.T) {
+					runShapeModel(t, shape, card, points)
+				})
+			}
+		}
 	}
 }
 
@@ -226,8 +235,7 @@ func runWindowModel(t *testing.T, seed int64, points int) {
 	now := func() time.Time { return time.Unix(0, clock.Load()) }
 
 	wins := map[string]*Window{
-		"plain":      NewWindowOpts(WindowOptions{Points: points, Retention: retention, Shards: 2}),
-		"compressed": NewWindowOpts(WindowOptions{Points: points, Retention: retention, Shards: 2, Compress: true}),
+		"change-log": NewWindowOpts(WindowOptions{Points: points, Retention: retention, Shards: 2}),
 	}
 	for _, w := range wins {
 		w.SetClock(now)
@@ -312,7 +320,7 @@ func runWindowModel(t *testing.T, seed int64, points int) {
 			stamps[i] = stamps[i].Add(time.Second)
 			set.EndTransaction(stamps[i])
 			observe(set)
-		case op < 733: // rare: a set has to live through several seals
+		case op < 733: // rare: a set has to live through several ring wraps
 			delete(ref.sets, set.Name())
 			for _, w := range wins {
 				w.Forget(set.Name())
@@ -343,6 +351,121 @@ func runWindowModel(t *testing.T, seed int64, points int) {
 		st := w.Stats()
 		if st.SeriesSets != len(ref.sets) {
 			t.Errorf("%s window tracks %d sets, model %d", name, st.SeriesSets, len(ref.sets))
+		}
+	}
+}
+
+// changeShape is which metrics of a set change from one sample to the
+// next: change rewrites vals, the set's raw bits, for sample i.
+type changeShape struct {
+	name   string
+	floats bool // a D64 set, so the bits are the awkward floats'
+	change func(rng *rand.Rand, i int, vals []uint64)
+}
+
+// awkwardBits are float bit patterns a float compare would call equal
+// (+0 and -0, two NaN payloads) or never equal (NaN to itself).
+var awkwardBits = []uint64{
+	math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)),
+	math.Float64bits(math.NaN()), math.Float64bits(math.NaN()) | 1,
+	math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+	math.Float64bits(1.5),
+}
+
+var changeShapes = []changeShape{
+	{name: "none", change: func(*rand.Rand, int, []uint64) {}},
+	{name: "rotating8", change: func(_ *rand.Rand, i int, vals []uint64) {
+		// The bench's rule: groups of 8 metrics, group i mod groups on
+		// sample i.
+		groups := (len(vals) + 7) / 8
+		g := i % groups
+		for m := 8 * g; m < min(8*g+8, len(vals)); m++ {
+			vals[m] = uint64(i*len(vals) + m + 1)
+		}
+	}},
+	{name: "all", change: func(_ *rand.Rand, i int, vals []uint64) {
+		for m := range vals {
+			vals[m] = uint64(i*len(vals) + m + 1)
+		}
+	}},
+	{name: "random", change: func(rng *rand.Rand, _ int, vals []uint64) {
+		p := []float64{0.02, 0.3, 0.9}[rng.Intn(3)]
+		for m := range vals {
+			if rng.Float64() < p {
+				vals[m] = rng.Uint64()
+			}
+		}
+	}},
+	{name: "nonfinite", floats: true, change: func(rng *rand.Rand, _ int, vals []uint64) {
+		for m := range vals {
+			if rng.Intn(3) == 0 {
+				vals[m] = awkwardBits[rng.Intn(len(awkwardBits))]
+			}
+		}
+	}},
+}
+
+// runShapeModel drives one set through two ring wraps of shape's
+// samples, with DGN-stale and torn observes among them, and checks every
+// few samples that Query and Latest serve what refWindow does.
+func runShapeModel(t *testing.T, shape changeShape, card, points int) {
+	rng := rand.New(rand.NewSource(int64(card*1000 + points)))
+	typ := metric.TypeU64
+	if shape.floats {
+		typ = metric.TypeD64
+	}
+	sch := metric.NewSchema("shape")
+	for m := 0; m < card; m++ {
+		sch.MustAddMetric(fmt.Sprintf("m%03d", m), typ)
+	}
+	set, err := metric.New("n1/shape", sch, metric.WithCompID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retention = 1000 * time.Hour
+	stamp := time.Unix(1_700_000_000, 0)
+	w := NewWindowOpts(WindowOptions{Points: points, Retention: retention})
+	w.SetClock(func() time.Time { return stamp })
+	ref := &refWindow{points: points, retention: retention, sets: map[string]*refSet{}}
+	observe := func() {
+		ref.observe(set)
+		w.Observe(set)
+	}
+	vals := make([]uint64, card)
+	write := func() {
+		set.SetValues(func(b *metric.Batch) {
+			for m, v := range vals {
+				b.SetValue(m, metric.Value{Type: typ, Bits: v})
+			}
+		})
+	}
+	for i := 0; i < 2*points+40; i++ {
+		shape.change(rng, i, vals)
+		if rng.Intn(10) > 0 {
+			stamp = stamp.Add(time.Second)
+		}
+		set.BeginTransaction()
+		write()
+		if rng.Intn(8) == 0 {
+			observe() // torn: dropped
+		}
+		set.EndTransaction(stamp)
+		observe()
+		if rng.Intn(8) == 0 {
+			observe() // DGN-stale: dropped
+		}
+		if i%max(3, points/20) != 0 {
+			continue
+		}
+		for _, col := range []int{0, card / 2, card - 1, rng.Intn(card)} {
+			m := fmt.Sprintf("m%03d", col)
+			since := stamp.Add(-time.Duration(rng.Intn(points+2)) * time.Second)
+			if err := sameSeries(ref.query(m, 0, since, stamp), w.Query(m, 0, since)); err != nil {
+				t.Fatalf("sample %d: Query(%s, %v): %v", i, m, since, err)
+			}
+			if err := sameSeries(ref.latest(m, 0), w.Latest(m, 0)); err != nil {
+				t.Fatalf("sample %d: Latest(%s): %v", i, m, err)
+			}
 		}
 	}
 }

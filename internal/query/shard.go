@@ -7,7 +7,7 @@ package query
 // — the query side, not collection, is where these systems fall over).
 // Hashing each set instance onto one of N independently-locked shards
 // lets inserts for different producers and concurrent queries proceed
-// in parallel; per-series data stays under the per-set block mutex
+// in parallel; per-series data stays under the per-set mutex
 // exactly as before.
 
 import "sync"

@@ -12,15 +12,14 @@
 // chunk or the new one, never a mix (§III-A reader protocol).
 //
 // The window is built for heavy concurrent read traffic: the set index
-// is sharded with striped locks (shard.go), per-series history can be
-// held Gorilla-compressed (compress.go) to grow in-RAM retention ~10×
-// at the same footprint, and dashboards can ask the server to
-// downsample (`step=`) or fold series across producers (aggregate.go)
-// so a 64-producer view is one request, not 64.
+// is sharded with striped locks (shard.go), each set keeps only the
+// values that changed from one sample to the next, and dashboards can
+// ask the server to downsample (`step=`) or fold series across producers
+// (aggregate.go) so a 64-producer view is one request, not 64.
 package query
 
 import (
-	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,7 @@ const DefaultRetention = 10 * time.Minute
 // the defaults.
 type WindowOptions struct {
 	// Points is the per-series retained sample budget (default
-	// DefaultPoints), the same with and without compression.
+	// DefaultPoints).
 	Points int
 	// Retention is the maximum history age served (default
 	// DefaultRetention).
@@ -50,27 +49,22 @@ type WindowOptions struct {
 	// Shards is the set-index lock-stripe count, rounded up to a power
 	// of two (default DefaultShards).
 	Shards int
-	// Compress stores sealed history Gorilla-compressed
-	// (delta-of-delta timestamps + XOR values) behind a blockPoints-deep
-	// uncompressed set block, cutting RAM per retained point ≥5×.
-	Compress bool
 }
 
 // Window is the recent-window cache. One Observe call per fresh consistent
-// sample writes the set's values as one row of its set block — one
-// timestamp ring and one value matrix per set instance, as the set itself
-// carries one transaction timestamp for all its metrics; Query, Latest and
-// Aggregate answer entirely from RAM.
+// sample appends it to the set's change log — one timestamp per sample, as
+// the set itself carries one transaction timestamp for all its metrics,
+// and only the values that changed since the set's previous sample;
+// Query, Latest and Aggregate answer entirely from RAM.
 //
 // Concurrency: the set index is hash-sharded with one RWMutex per shard
-// (taken only to look up or create a set's block), so updater inserts and
+// (taken only to look up or create a set's log), so updater inserts and
 // HTTP queries on different sets never contend on a single structure;
-// each set block has its own mutex, held only for the duration of a row
-// write or a column copy.
+// each set's log has its own mutex, held only for the duration of a row
+// write or a column cut.
 type Window struct {
 	points    int
 	retention time.Duration
-	compress  bool
 
 	shards []windowShard
 
@@ -93,8 +87,8 @@ type Window struct {
 }
 
 // NewWindow creates a window holding up to points samples per series and
-// serving at most retention of history, with default sharding and no
-// compression. Zero values select the defaults.
+// serving at most retention of history, with default sharding. Zero
+// values select the defaults.
 func NewWindow(points int, retention time.Duration) *Window {
 	return NewWindowOpts(WindowOptions{Points: points, Retention: retention})
 }
@@ -110,7 +104,6 @@ func NewWindowOpts(o WindowOptions) *Window {
 	w := &Window{
 		points:    o.Points,
 		retention: o.Retention,
-		compress:  o.Compress,
 		shards:    make([]windowShard, roundPow2(o.Shards)),
 		//ldms:wallclock default clock for standalone windows; daemons override via SetClock
 		now: time.Now,
@@ -145,122 +138,286 @@ func (w *Window) Retention() time.Duration { return w.retention }
 // Points returns the per-series retained sample budget.
 func (w *Window) Points() int { return w.points }
 
-// Compressed reports whether sealed history is Gorilla-compressed.
-func (w *Window) Compressed() bool { return w.compress }
-
 // Shards returns the set-index lock-stripe count.
 func (w *Window) Shards() int { return len(w.shards) }
 
-// setSeries is one set instance's recent history: the set block (every
-// retained sample of every metric) plus, in compressed mode, the sealed
-// blocks behind it.
+// setSeries is one set instance's recent history: its change log.
 type setSeries struct {
 	instance string
 	comp     uint64
-	// schema is the block's directory: metric names, types and the name
+	// schema is the log's directory: metric names, types and the name
 	// index. Mirrors of one layout share it (metric.ParseMeta), so a fleet
 	// of 1,000 instances of one sampler holds one.
 	schema *metric.Schema
 	layout *metric.Schema // the Schema last found equal to schema; guarded by the shard lock
 
 	mu      sync.Mutex
-	head    block
-	sealed  *sealedRing // compressed mode only; head then holds blockPoints
+	rows    changeLog
 	lastDGN uint64
 	haveDGN bool
 }
 
-// block is a fixed-capacity ring of whole samples, the way the paper's set
-// carries them: ONE transaction timestamp per sample in ts, and the
-// sample's card raw 64-bit values as one contiguous row of vals
-// (slot-major: slot k's row is vals[k*card:(k+1)*card]; each metric's
-// metric.Type decodes its column). next is the slot the next commit
-// publishes; n is the live count (saturates at capacity). unsorted counts
-// the commits left until the last backwards step of a producer's clock has
-// been overwritten; at 0 the stamps ascend in age order.
-//
-// Slot-major because ingest runs two orders of magnitude more often than
-// reads: an Observe is one contiguous row write straight out of the set's
-// data chunk, where a metric-major matrix would dirty card cache lines per
-// sample; the price is that a series cut strides the matrix.
-type block struct {
-	card int
-	ts   []int64
-	vals []uint64
-	next int
-	n    int
+// fullRow marks a changeLog row stored whole; the rest of at's entry is
+// the row's offset in vals.
+const fullRow = 1 << 31
 
+// changeLog is one set's retained samples, each stored as the metrics that
+// changed since the set's previous sample.
+//
+// ts is a fixed ring of transaction stamps, ONE per sample: next is the
+// slot the next commit publishes, n the live count (saturates at
+// capacity), and unsorted counts the commits left until the last
+// backwards step of a producer's clock has been overwritten; at 0 the
+// stamps ascend in age order.
+//
+// vals is a circular log of rows, and at[k] is the offset of ring slot k's
+// row in it. A row is a change mask of words 64-bit words (bit c set when
+// metric c's raw bits changed) followed by the changed values in column
+// order, or — when that would be no smaller, and for a set's first sample —
+// all card values, flagged fullRow in at. A row never wraps around the
+// log's end. last is the newest sample whole, so Latest and the next
+// Observe's diff read it directly; base is the sample before the oldest
+// retained row, so a column's value at a row is its last change at or
+// before that row, or base's.
+type changeLog struct {
+	card, words int
+
+	ts       []int64
+	at       []uint32
+	next     int
+	n        int
 	unsorted int
+
+	vals []uint64
+	head int // offset just past the newest row in vals
+
+	last []uint64
+	base []uint64
+	mask []uint64 // the change mask of the row being committed
 }
 
-func newBlock(points, card int) block {
-	return block{card: card, ts: make([]int64, points), vals: make([]uint64, points*card)}
+func newChangeLog(points, card int) changeLog {
+	words := (card + 63) / 64
+	return changeLog{
+		card: card, words: words,
+		ts: make([]int64, points), at: make([]uint32, points),
+		last: make([]uint64, card), base: make([]uint64, card), mask: make([]uint64, words),
+	}
 }
 
-// row is the slot the next commit publishes: the oldest sample's row once
-// the ring is full, so a caller must not scribble on it unless it commits.
+// row returns ring slot k's row offset and whether it is stored whole.
+func (l *changeLog) row(k int) (off int, full bool) {
+	return int(l.at[k] &^ fullRow), l.at[k]&fullRow != 0
+}
+
+// rowLen returns the number of vals slots ring slot k's row takes.
+func (l *changeLog) rowLen(k int) int {
+	off, full := l.row(k)
+	if full {
+		return l.card
+	}
+	n := l.words
+	for _, m := range l.vals[off : off+l.words] {
+		n += bits.OnesCount64(m)
+	}
+	return n
+}
+
+// reserve returns the offset of card free contiguous slots in vals for the
+// next sample to be read into, growing the log when there are none. Once
+// the ring is full the oldest row counts as free: the commit that fills
+// the slots evicts it, and swapOldest folds it into base first.
 //
 //ldms:hotpath per-sample window append; TestObserveAllocs guards 0 allocs
-func (b *block) row() []uint64 {
-	return b.vals[b.next*b.card : (b.next+1)*b.card]
+func (l *changeLog) reserve() int {
+	kept, first := l.n, 0
+	if l.n == len(l.ts) {
+		kept, first = l.n-1, 1
+	}
+	if kept == 0 {
+		if len(l.vals) >= l.card {
+			return 0
+		}
+	} else if t, _ := l.row(l.slot(first, l.n)); t < l.head {
+		// The kept rows lie in [t, head): free are [head, end) and [0, t).
+		if len(l.vals)-l.head >= l.card {
+			return l.head
+		}
+		if t >= l.card {
+			return 0
+		}
+	} else if t-l.head >= l.card {
+		// The kept rows wrap around the end: free is [head, t).
+		return l.head
+	}
+	l.grow()
+	return l.head
 }
 
-// commit publishes row() as the newest sample, stamped ts, overwriting
-// the oldest once full.
+// grow moves every row, the oldest included, to the front of a larger log,
+// with room for them and a sample. From the second row on it sizes the log
+// for the steady state at once, so the peak a fleet's logs reach while
+// they fill is no higher than their final size: points-1 rows of the mean
+// length seen (the oldest left out, as a set's first row is always whole),
+// a sample, and a row's worth for the end of the log a row cannot wrap
+// into — or, when the rows are whole, exactly points of them, which fit
+// with no end left over.
+func (l *changeLog) grow() {
+	used := 0
+	for i := 0; i < l.n; i++ {
+		used += l.rowLen(l.slot(i, l.n))
+	}
+	size := used + l.card
+	if l.n > 1 {
+		rest := used - l.rowLen(l.slot(0, l.n))
+		mean := (rest + l.n - 2) / (l.n - 1)
+		size = max(size, min(len(l.ts)*l.card, (len(l.ts)-1)*mean+2*l.card))
+	}
+	if size <= len(l.vals) {
+		size = len(l.vals) + l.card // the old log was big enough, only cut up
+	}
+	vals := make([]uint64, size)
+	pos := 0
+	for i := 0; i < l.n; i++ {
+		k := l.slot(i, l.n)
+		off, _ := l.row(k)
+		n := l.rowLen(k)
+		copy(vals[pos:], l.vals[off:off+n])
+		l.at[k] = uint32(pos) | l.at[k]&fullRow
+		pos += n
+	}
+	l.vals, l.head = vals, pos
+}
+
+// swapOldest exchanges the oldest row's values with base's: it folds the
+// row into base, and a second call undoes the fold.
+//
+//ldms:hotpath per-sample window eviction; TestObserveAllocs guards 0 allocs
+func (l *changeLog) swapOldest() {
+	off, full := l.row(l.slot(0, l.n))
+	if full {
+		row := l.vals[off : off+l.card]
+		for c := range row {
+			l.base[c], row[c] = row[c], l.base[c]
+		}
+		return
+	}
+	v := off + l.words
+	for w, m := range l.vals[off : off+l.words] {
+		for ; m != 0; m &= m - 1 {
+			c := w<<6 | bits.TrailingZeros64(m)
+			l.base[c], l.vals[v] = l.vals[v], l.base[c]
+			v++
+		}
+	}
+}
+
+// commit turns the sample read into vals[q:q+card] into the newest row,
+// stamped ts: in place, it keeps the values whose raw bits differ from
+// last's, then puts their mask in front. Once the ring is full the row
+// replaces the oldest, which swapOldest has folded into base.
 //
 //ldms:hotpath per-sample window append; TestObserveAllocs guards 0 allocs
-func (b *block) commit(ts int64) {
-	if b.n > 0 && ts < b.ts[b.slot(b.n-1, b.n)] {
-		b.unsorted = len(b.ts)
-	} else if b.unsorted > 0 {
-		b.unsorted--
+func (l *changeLog) commit(ts int64, q int) {
+	sample := l.vals[q : q+l.card]
+	clear(l.mask)
+	j := 0
+	for c, v := range sample {
+		if v != l.last[c] {
+			l.mask[c>>6] |= 1 << (c & 63)
+			l.last[c] = v
+			sample[j] = v
+			j++
+		}
 	}
-	b.ts[b.next] = ts
-	b.next++
-	if b.next == len(b.ts) {
-		b.next = 0
+	at := uint32(q)
+	if l.n == 0 || j+l.words >= l.card {
+		copy(sample, l.last)
+		at |= fullRow
+		l.head = q + l.card
+	} else {
+		copy(l.vals[q+l.words:], sample[:j])
+		copy(l.vals[q:], l.mask)
+		l.head = q + l.words + j
 	}
-	if b.n < len(b.ts) {
-		b.n++
+	l.at[l.next] = at
+
+	if l.n > 0 && ts < l.ts[l.slot(l.n-1, l.n)] {
+		l.unsorted = len(l.ts)
+	} else if l.unsorted > 0 {
+		l.unsorted--
+	}
+	l.ts[l.next] = ts
+	l.next++
+	if l.next == len(l.ts) {
+		l.next = 0
+	}
+	if l.n < len(l.ts) {
+		l.n++
 	}
 }
 
 // slot maps age order onto the ring: the i-th oldest of the newest last
 // samples (0 <= i < last <= n) lives in slot(i, last).
-func (b *block) slot(i, last int) int {
-	k := b.next - last + i
+func (l *changeLog) slot(i, last int) int {
+	k := l.next - last + i
 	if k < 0 {
-		k += len(b.ts)
+		k += len(l.ts)
 	}
 	return k
 }
 
-// newestSince narrows the newest last samples to those that can be
-// stamped at or after since: a binary search while the stamps ascend, no
-// narrowing at all while a backwards step is still in the ring (the
-// per-sample filter in appendSince then does the work, so the answer is
-// exactly the samples at or after the bound either way).
-func (b *block) newestSince(since int64, last int) int {
-	if b.unsorted > 0 {
-		return last
+// newestSince narrows the n samples to the newest that can be stamped at
+// or after since: a binary search while the stamps ascend, no narrowing at
+// all while a backwards step is still in the ring (the per-sample filter
+// in appendSince then does the work, so the answer is exactly the samples
+// at or after the bound either way).
+func (l *changeLog) newestSince(since int64) int {
+	if l.unsorted > 0 {
+		return l.n
 	}
-	return last - sort.Search(last, func(i int) bool { return b.ts[b.slot(i, last)] >= since })
+	return l.n - sort.Search(l.n, func(i int) bool { return l.ts[l.slot(i, l.n)] >= since })
+}
+
+// value returns column col's value at ring slot k's row, given its value
+// v at the row before.
+func (l *changeLog) value(k, col int, v uint64) uint64 {
+	off, full := l.row(k)
+	if full {
+		return l.vals[off+col]
+	}
+	w, bit := col>>6, uint64(1)<<(col&63)
+	m := l.vals[off+w]
+	if m&bit == 0 {
+		return v
+	}
+	rank := bits.OnesCount64(m & (bit - 1))
+	for _, x := range l.vals[off : off+w] {
+		rank += bits.OnesCount64(x)
+	}
+	return l.vals[off+l.words+rank]
 }
 
 // appendSince appends column col of the newest last samples stamped at or
-// after since, oldest first: the ring's older span, then the span that
-// wrapped to its start. Caller holds the series lock.
-func (b *block) appendSince(out []Point, col int, since int64, t metric.Type, last int) []Point {
-	lo := b.slot(0, last)
-	hi := min(lo+last, len(b.ts))
-	for _, span := range [2][2]int{{lo, hi}, {0, last - (hi - lo)}} {
-		for k := span[0]; k < span[1]; k++ {
-			if ts := b.ts[k]; ts >= since {
-				out = append(out, makePoint(ts, b.vals[k*b.card+col], t))
-			}
+// after since, oldest first. It walks every retained row from base, as a
+// column's value at a row is its last change at or before it. Caller
+// holds the series lock.
+func (l *changeLog) appendSince(out []Point, col int, since int64, t metric.Type, last int) []Point {
+	v := l.base[col]
+	for i := 0; i < l.n; i++ {
+		k := l.slot(i, l.n)
+		v = l.value(k, col, v)
+		if i >= l.n-last && l.ts[k] >= since {
+			out = append(out, makePoint(l.ts[k], v, t))
 		}
 	}
 	return out
+}
+
+// bytes is the log's footprint, by capacity: stamps, row offsets, values,
+// and the three card-wide rows and mask.
+func (l *changeLog) bytes() int {
+	return 8*(cap(l.ts)+cap(l.vals)+cap(l.last)+cap(l.base)+cap(l.mask)) + 4*cap(l.at)
 }
 
 // makePoint rebuilds a served Point from its stored representation.
@@ -271,23 +428,31 @@ func makePoint(ts int64, bits uint64, t metric.Type) Point {
 // Observe records the set's current sample into the window. Inconsistent
 // chunks and chunks whose DGN has not advanced since the last observation
 // are dropped, mirroring the updater's own storage filter; a fresh one is
-// read under the set's lock straight into the block's next row. It is
-// safe to call concurrently with Query/Latest/Aggregate and with Observes
-// of other sets.
+// read under the set's lock straight into free slots of the set's log and
+// compacted there to what changed. It is safe to call concurrently with
+// Query/Latest/Aggregate and with Observes of other sets.
 func (w *Window) Observe(set *metric.Set) {
 	ss := w.seriesFor(set)
 	ss.mu.Lock()
-	ts, dgn, fresh := set.ReadBits(ss.head.row(), ss.lastDGN, ss.haveDGN)
+	l := &ss.rows
+	q := l.reserve()
+	evict := l.n == len(l.ts)
+	if evict {
+		l.swapOldest()
+	}
+	// ReadBits writes the slots only for a fresh sample, so a skipped one
+	// leaves the oldest row whole for the fold to be undone.
+	ts, dgn, fresh := set.ReadBits(l.vals[q:q+l.card], ss.lastDGN, ss.haveDGN)
 	if !fresh {
+		if evict {
+			l.swapOldest()
+		}
 		ss.mu.Unlock()
 		w.skipped.Add(1)
 		return
 	}
 	ss.lastDGN, ss.haveDGN = dgn, true
-	ss.head.commit(ts.UnixNano())
-	if ss.sealed != nil {
-		ss.sealed.committed(&ss.head)
-	}
+	l.commit(ts.UnixNano(), q)
 	ss.mu.Unlock()
 	w.observed.Add(1)
 	if w.latHist != nil && !ts.IsZero() {
@@ -295,12 +460,12 @@ func (w *Window) Observe(set *metric.Set) {
 	}
 }
 
-// seriesFor returns the set's series block, creating it if needed. The
-// block is the set's while their schemas are the same pointer, which mirrors
-// of one layout share however often they are rebuilt. A set that arrives
-// under the name with another Schema object (a re-created local set)
-// continues the series if the layout is equal; under another layout it is a
-// new set and starts a new block, so a row never mixes two layouts.
+// seriesFor returns the set's series, creating it if needed. The series is
+// the set's while their schemas are the same pointer, which mirrors of one
+// layout share however often they are rebuilt. A set that arrives under
+// the name with another Schema object (a re-created local set) continues
+// the series if the layout is equal; under another layout it is a new set
+// and starts a new log, so a row never mixes two layouts.
 func (w *Window) seriesFor(set *metric.Set) *setSeries {
 	name, schema := set.Name(), set.Schema()
 	sh := w.shardFor(name)
@@ -317,19 +482,14 @@ func (w *Window) seriesFor(set *metric.Set) *setSeries {
 		ss.layout = schema
 		return ss
 	}
-	ss = &setSeries{instance: name, comp: set.CompID(0), schema: schema, layout: schema}
-	if w.compress {
-		ss.head = newBlock(blockPoints, set.Card())
-		ss.sealed = newSealedRing(w.points, set.Card())
-	} else {
-		ss.head = newBlock(w.points, set.Card())
-	}
+	ss = &setSeries{instance: name, comp: set.CompID(0), schema: schema, layout: schema,
+		rows: newChangeLog(w.points, set.Card())}
 	sh.sets[name] = ss
 	return ss
 }
 
 // Forget drops the named set's series (the set left the directory). Queries
-// issued concurrently finish against the old block.
+// issued concurrently finish against the old log.
 func (w *Window) Forget(instance string) {
 	sh := w.shardFor(instance)
 	sh.mu.Lock()
@@ -357,9 +517,7 @@ type Series struct {
 // Query returns every series for the named metric — across all producers,
 // or only component comp when comp != 0 — restricted to points at or after
 // since (and never older than the window's retention). The result is
-// sorted by instance name and built entirely from the in-memory storage;
-// compressed blocks decode on the fly, skipping blocks wholly outside
-// the bound.
+// sorted by instance name and built entirely from the in-memory logs.
 func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series {
 	w.queries.Add(1)
 	floor := w.now().Add(-w.retention)
@@ -369,13 +527,16 @@ func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series
 	sinceNanos := since.UnixNano()
 
 	var out []Series
-	for _, ss := range w.blocks() {
+	for _, ss := range w.sets() {
 		col, ok := ss.schema.Lookup(metricName)
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
 		ss.mu.Lock()
-		pts := ss.cut(col, sinceNanos, w.points)
+		var pts []Point
+		if last := ss.rows.newestSince(sinceNanos); last > 0 {
+			pts = ss.rows.appendSince(make([]Point, 0, last), col, sinceNanos, ss.schema.Def(col).Type, last)
+		}
 		ss.mu.Unlock()
 		if len(pts) > 0 {
 			out = append(out, ss.series(col, pts))
@@ -385,7 +546,7 @@ func (w *Window) Query(metricName string, comp uint64, since time.Time) []Series
 	return out
 }
 
-// series labels one metric's served points with the block's identity.
+// series labels one metric's served points with the set's identity.
 func (ss *setSeries) series(col int, pts []Point) Series {
 	return Series{
 		Instance: ss.instance,
@@ -397,41 +558,24 @@ func (ss *setSeries) series(col int, pts []Point) Series {
 	}
 }
 
-// cut extracts column col's points stamped at or after since, oldest
-// first, or nil when there are none. Both storages serve the newest
-// points samples and no more. Caller holds the series lock.
-func (ss *setSeries) cut(col int, since int64, points int) []Point {
-	t := ss.schema.Def(col).Type
-	if ss.sealed == nil {
-		last := ss.head.newestSince(since, ss.head.n)
-		if last == 0 {
-			return nil
-		}
-		return ss.head.appendSince(make([]Point, 0, last), col, since, t, last)
-	}
-	// Sealed capacity rounds up to whole blocks: skip what it holds beyond
-	// the budget so Points means the same thing with and without Compress.
-	pending := ss.sealed.pending
-	out := ss.sealed.appendSince(nil, col, since, t, ss.sealed.n*blockPoints+pending-points)
-	return ss.head.appendSince(out, col, since, t, ss.head.newestSince(since, min(pending, points)))
-}
-
 // Latest returns the newest recorded point of the named metric for every
 // matching series (comp == 0 matches all components), sorted by instance.
-// It is O(1) per series in both storages: the newest sample is always in
-// the set block, never behind a block decode.
+// It is O(1) per series: the newest sample is the log's last row, kept
+// whole.
 func (w *Window) Latest(metricName string, comp uint64) []Series {
 	w.queries.Add(1)
 	var out []Series
-	for _, ss := range w.blocks() {
+	for _, ss := range w.sets() {
 		col, ok := ss.schema.Lookup(metricName)
 		if !ok || (comp != 0 && ss.comp != comp) {
 			continue
 		}
 		ss.mu.Lock()
-		// Sealing never empties the head, so the newest sample is its
-		// newest row in both storages.
-		pts := ss.head.appendSince(nil, col, math.MinInt64, ss.schema.Def(col).Type, min(ss.head.n, 1))
+		l := &ss.rows
+		var pts []Point
+		if l.n > 0 {
+			pts = []Point{makePoint(l.ts[l.slot(l.n-1, l.n)], l.last[col], ss.schema.Def(col).Type)}
+		}
 		ss.mu.Unlock()
 		if len(pts) > 0 {
 			out = append(out, ss.series(col, pts))
@@ -444,8 +588,8 @@ func (w *Window) Latest(metricName string, comp uint64) []Series {
 // MetricNames lists every metric name present in the window, sorted.
 func (w *Window) MetricNames() []string {
 	seen := make(map[string]bool)
-	walked := make(map[*metric.Schema]bool) // a fleet's blocks share a few schemas
-	for _, ss := range w.blocks() {
+	walked := make(map[*metric.Schema]bool) // a fleet's logs share a few schemas
+	for _, ss := range w.sets() {
 		if walked[ss.schema] {
 			continue
 		}
@@ -462,8 +606,8 @@ func (w *Window) MetricNames() []string {
 	return names
 }
 
-// blocks snapshots the series-block list across every shard.
-func (w *Window) blocks() []*setSeries {
+// sets snapshots the series list across every shard.
+func (w *Window) sets() []*setSeries {
 	var out []*setSeries
 	for i := range w.shards {
 		sh := &w.shards[i]
@@ -481,16 +625,16 @@ type WindowStats struct {
 	SeriesSets int   // set instances tracked
 	Series     int   // individual metric series
 	Points     int64 // samples currently retained across all series
-	Bytes      int64 // storage footprint: timestamp columns, matrices, sealed blocks
+	Bytes      int64 // storage footprint of the sets' change logs, by capacity
 	Observed   int64 // samples recorded
 	Skipped    int64 // samples dropped (inconsistent / stale DGN)
 	Queries    int64 // Query/Latest calls served
 	Aggregates int64 // Aggregate calls served
 }
 
-// Stats returns the window's counters. Points and Bytes take each set
-// block's mutex briefly; Bytes counts every timestamp column, value
-// matrix and sealed buffer (names and types are the sets' schemas').
+// Stats returns the window's counters. Points and Bytes take each set's
+// mutex briefly; Bytes counts the capacity of every stamp ring, row
+// index, value log and whole row (names and types are the sets' schemas').
 func (w *Window) Stats() WindowStats {
 	st := WindowStats{
 		Observed:   w.observed.Load(),
@@ -498,18 +642,13 @@ func (w *Window) Stats() WindowStats {
 		Queries:    w.queries.Load(),
 		Aggregates: w.aggregates.Load(),
 	}
-	for _, ss := range w.blocks() {
+	for _, ss := range w.sets() {
 		st.SeriesSets++
-		st.Series += ss.head.card
+		st.Series += ss.rows.card
 		ss.mu.Lock()
-		retained := ss.head.n
-		st.Bytes += int64(8 * (len(ss.head.ts) + len(ss.head.vals)))
-		if ss.sealed != nil {
-			retained = ss.sealed.n*blockPoints + ss.sealed.pending
-			st.Bytes += int64(ss.sealed.bytes())
-		}
+		st.Points += int64(ss.rows.n * ss.rows.card)
+		st.Bytes += int64(ss.rows.bytes())
 		ss.mu.Unlock()
-		st.Points += int64(retained * ss.head.card)
 	}
 	return st
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -255,80 +256,24 @@ func TestWindowQueryClockRetentionFloor(t *testing.T) {
 	}
 }
 
-// TestWindowCompressedMatchesRings runs every mode-sensitive path in
-// both storage modes and asserts identical served results.
-func TestWindowCompressedMatchesRings(t *testing.T) {
-	base := time.Now().Truncate(time.Second)
-	build := func(compress bool) *Window {
-		w := NewWindowOpts(WindowOptions{Points: 300, Retention: time.Hour, Compress: compress})
-		for p := 1; p <= 3; p++ {
-			s := testSet(t, fmt.Sprintf("n%d/win", p), uint64(p))
-			for i := 0; i < 250; i++ {
-				sample(s, uint64(p*1000+i), base.Add(time.Duration(i)*time.Second))
-				w.Observe(s)
-			}
-		}
-		return w
-	}
-	plain, comp := build(false), build(true)
-	if !comp.Compressed() || plain.Compressed() {
-		t.Fatal("Compressed() flag wrong")
-	}
-	for _, since := range []time.Time{
-		base.Add(-time.Minute),
-		base.Add(100 * time.Second),
-		base.Add(249 * time.Second),
-		base.Add(10 * time.Minute),
-	} {
-		a := plain.Query("a", 0, since)
-		b := comp.Query("a", 0, since)
-		if len(a) != len(b) {
-			t.Fatalf("since %v: %d vs %d series", since, len(a), len(b))
-		}
-		for i := range a {
-			if len(a[i].Points) != len(b[i].Points) {
-				t.Fatalf("since %v series %d: %d vs %d points", since, i, len(a[i].Points), len(b[i].Points))
-			}
-			for j := range a[i].Points {
-				pa, pb := a[i].Points[j], b[i].Points[j]
-				if !pa.Time.Equal(pb.Time) || pa.Value.Bits != pb.Value.Bits {
-					t.Fatalf("since %v series %d point %d: %v/%#x vs %v/%#x",
-						since, i, j, pa.Time, pa.Value.Bits, pb.Time, pb.Value.Bits)
-				}
-			}
-		}
-	}
-	la, lb := plain.Latest("b", 0), comp.Latest("b", 0)
-	if len(la) != 3 || len(lb) != 3 {
-		t.Fatalf("latest: %d vs %d series", len(la), len(lb))
-	}
-	for i := range la {
-		if la[i].Points[0].Value.Bits != lb[i].Points[0].Value.Bits {
-			t.Fatalf("latest series %d differs", i)
-		}
-	}
-}
-
 // TestWindowEmptyQuery pins the empty-window sort.Search cut: a series
-// block that exists but has recorded nothing must serve nil, and a bound
+// that exists but has recorded nothing must serve nil, and a bound
 // past the newest point must serve nothing rather than everything.
 func TestWindowEmptyQuery(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		w := NewWindowOpts(WindowOptions{Points: 8, Retention: time.Hour, Compress: compress})
-		if got := w.Query("a", 0, time.Now().Add(-time.Minute)); got != nil {
-			t.Fatalf("compress=%v: empty window served %v", compress, got)
-		}
-		if got := w.Latest("a", 0); got != nil {
-			t.Fatalf("compress=%v: empty window Latest served %v", compress, got)
-		}
-		s := testSet(t, "n1/win", 1)
-		ts := time.Now().Truncate(time.Second)
-		sample(s, 9, ts)
-		w.Observe(s)
-		// Bound strictly after the only point: no series at all.
-		if got := w.Query("a", 0, ts.Add(time.Second)); len(got) != 0 {
-			t.Fatalf("compress=%v: future bound served %v", compress, got)
-		}
+	w := NewWindow(8, time.Hour)
+	if got := w.Query("a", 0, time.Now().Add(-time.Minute)); got != nil {
+		t.Fatalf("empty window served %v", got)
+	}
+	if got := w.Latest("a", 0); got != nil {
+		t.Fatalf("empty window Latest served %v", got)
+	}
+	s := testSet(t, "n1/win", 1)
+	ts := time.Now().Truncate(time.Second)
+	sample(s, 9, ts)
+	w.Observe(s)
+	// Bound strictly after the only point: no series at all.
+	if got := w.Query("a", 0, ts.Add(time.Second)); len(got) != 0 {
+		t.Fatalf("future bound served %v", got)
 	}
 }
 
@@ -363,23 +308,45 @@ func TestWindowWrapAtExactCapacity(t *testing.T) {
 	}
 }
 
-// TestWindowStaleDGNCompressed pins the DGN-stale filter in compressed
-// mode: re-observing an unchanged set must not grow compressed history.
-func TestWindowStaleDGNCompressed(t *testing.T) {
-	w := NewWindowOpts(WindowOptions{Points: 256, Retention: time.Hour, Compress: true})
-	s := testSet(t, "n1/win", 1)
-	sample(s, 7, time.Now())
-	w.Observe(s)
-	for i := 0; i < 10; i++ {
-		w.Observe(s) // same DGN: all dropped
-	}
-	st := w.Stats()
-	if st.Observed != 1 || st.Skipped != 10 {
-		t.Fatalf("stale filter: %+v", st)
-	}
-	got := w.Query("a", 0, time.Now().Add(-time.Minute))
-	if len(got) != 1 || len(got[0].Points) != 1 {
-		t.Fatalf("stale observes leaked into history: %+v", got)
+// TestWindowStaleAtFullRing pins the skip path once the ring is full.
+// Observe folds the oldest row into base before it reads the sample into
+// the slots that row may hold, so a DGN-stale or torn sample must undo the
+// fold and leave every retained point as it was.
+func TestWindowStaleAtFullRing(t *testing.T) {
+	const points = 4
+	for _, card := range []int{2, 64, 130} {
+		w := NewWindow(points, time.Hour)
+		w.SetClock(func() time.Time { return time.Unix(1_700_000_100, 0) })
+		s := wideSet(t, "n1/wide", card)
+		for i := 1; i <= 6; i++ {
+			wideSample(s, i)
+			w.Observe(s)
+		}
+		want := w.Query("m001", 0, time.Unix(0, 0))
+		for i := 0; i < 10; i++ {
+			w.Observe(s) // same DGN: all dropped
+		}
+		s.BeginTransaction()
+		s.SetU64(1, 12345)
+		w.Observe(s) // torn: dropped
+		st := w.Stats()
+		if st.Observed != 6 || st.Skipped != 11 {
+			t.Fatalf("card %d: stale filter: %+v", card, st)
+		}
+		if err := sameSeries(want, w.Query("m001", 0, time.Unix(0, 0))); err != nil || len(want) != 1 || len(want[0].Points) != points {
+			t.Fatalf("card %d: skipped observes changed history (%v): %+v", card, err, want)
+		}
+		for j, p := range want[0].Points {
+			if got, exp := p.Value.U64(), uint64((3+j)%97*2); got != exp {
+				t.Fatalf("card %d: point %d = %d, want %d", card, j, got, exp)
+			}
+		}
+		s.EndTransaction(time.Unix(1_700_000_007, 0))
+		w.Observe(s)
+		got := w.Query("m001", 0, time.Unix(0, 0))
+		if len(got) != 1 || len(got[0].Points) != points || got[0].Points[points-1].Value.U64() != 12345 || got[0].Points[0].Value.U64() != 4%97*2 {
+			t.Fatalf("card %d: after the transaction: %+v", card, got)
+		}
 	}
 }
 
@@ -417,57 +384,51 @@ func TestWindowShardOptions(t *testing.T) {
 }
 
 // TestWindowConcurrentAggregate races writers against Query, Latest and
-// Aggregate in both storage modes; run under -race.
+// Aggregate; run under -race.
 func TestWindowConcurrentAggregate(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "rings"
-		if compress {
-			name = "compressed"
+	t.Run("rings", func(t *testing.T) {
+		w := NewWindow(256, time.Hour)
+		const sets = 8
+		all := make([]*metric.Set, sets)
+		for i := range all {
+			all[i] = testSet(t, fmt.Sprintf("n%d/win", i), uint64(i+1))
+			sample(all[i], 0, time.Now())
+			w.Observe(all[i])
 		}
-		t.Run(name, func(t *testing.T) {
-			w := NewWindowOpts(WindowOptions{Points: 256, Retention: time.Hour, Compress: compress})
-			const sets = 8
-			all := make([]*metric.Set, sets)
-			for i := range all {
-				all[i] = testSet(t, fmt.Sprintf("n%d/win", i), uint64(i+1))
-				sample(all[i], 0, time.Now())
-				w.Observe(all[i])
-			}
-			// Fixed iteration counts on both sides: unbounded spinning
-			// writers starve the readers on low-core machines, and the
-			// race detector sees the same interleavings either way.
-			var wg sync.WaitGroup
-			for i := range all {
-				wg.Add(1)
-				go func(s *metric.Set) {
-					defer wg.Done()
-					for v := uint64(1); v <= 400; v++ {
-						sample(s, v, time.Now())
-						w.Observe(s)
+		// Fixed iteration counts on both sides: unbounded spinning
+		// writers starve the readers on low-core machines, and the
+		// race detector sees the same interleavings either way.
+		var wg sync.WaitGroup
+		for i := range all {
+			wg.Add(1)
+			go func(s *metric.Set) {
+				defer wg.Done()
+				for v := uint64(1); v <= 400; v++ {
+					sample(s, v, time.Now())
+					w.Observe(s)
+				}
+			}(all[i])
+		}
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 50; n++ {
+					w.Query("a", 0, time.Now().Add(-time.Minute))
+					w.Latest("b", 0)
+					if _, err := w.Aggregate("a", 0, time.Now().Add(-time.Minute), time.Second, "avg", 0); err != nil {
+						t.Error(err)
+						return
 					}
-				}(all[i])
-			}
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for n := 0; n < 50; n++ {
-						w.Query("a", 0, time.Now().Add(-time.Minute))
-						w.Latest("b", 0)
-						if _, err := w.Aggregate("a", 0, time.Now().Add(-time.Minute), time.Second, "avg", 0); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			st := w.Stats()
-			if st.Observed == 0 || st.Queries == 0 || st.Aggregates == 0 {
-				t.Fatalf("no concurrent progress: %+v", st)
-			}
-		})
-	}
+				}
+			}()
+		}
+		wg.Wait()
+		st := w.Stats()
+		if st.Observed == 0 || st.Queries == 0 || st.Aggregates == 0 {
+			t.Fatalf("no concurrent progress: %+v", st)
+		}
+	})
 }
 
 // wideSet builds a consistent set of card u64 metrics m000..; every set
@@ -494,59 +455,95 @@ func wideSample(set *metric.Set, i int) {
 	set.EndTransaction(time.Unix(1_700_000_000+int64(i), 0))
 }
 
-// TestObserveAllocs is the append gate: once a set's block exists (and, in
-// compressed mode, every sealed buffer has been through one generation) an
-// Observe allocates nothing — not per sample and not per seal, which is
-// why a run is a whole block's worth of samples.
+// rotSample writes sample i of a steady 1 s cadence the way the bench's
+// generator does: the metrics change in rotating groups of 8, group
+// i mod card/8 on sample i, to values no sample repeats.
+func rotSample(set *metric.Set, i int) {
+	set.BeginTransaction()
+	g := i % (set.Card() / 8)
+	for m := 8 * g; m < 8*g+8; m++ {
+		set.SetU64(m, uint64(i*set.Card()+m+1))
+	}
+	set.EndTransaction(time.Unix(1_700_000_000+int64(i), 0))
+}
+
+// TestObserveAllocs is the append gate: once a set's log has grown to its
+// steady size an Observe allocates nothing, whether 8 of 64 metrics change
+// per sample or all of them; a run covers a ring's worth of evictions.
 func TestObserveAllocs(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		w := NewWindowOpts(WindowOptions{Points: 256, Compress: compress})
-		set := wideSet(t, "n1/wide", 16)
+	const points = 256
+	for name, write := range map[string]func(*metric.Set, int){"rotating": rotSample, "all": wideSample} {
+		w := NewWindowOpts(WindowOptions{Points: points})
+		set := wideSet(t, "n1/wide", 64)
 		i := 0
-		for ; i < 4*256; i++ {
-			wideSample(set, i)
+		for ; i < 4*points; i++ {
+			write(set, i)
 			w.Observe(set)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			for k := 0; k < blockPoints; k++ {
-				wideSample(set, i)
+			for k := 0; k < points; k++ {
+				write(set, i)
 				w.Observe(set)
 				i++
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("compress=%v: %v allocs per %d observed samples, want 0", compress, allocs, blockPoints)
+			t.Errorf("%s: %v allocs per %d observed samples, want 0", name, allocs, points)
 		}
 		if st := w.Stats(); st.Observed != int64(i) {
-			t.Errorf("compress=%v: observed %d of %d samples", compress, st.Observed, i)
+			t.Errorf("%s: observed %d of %d samples", name, st.Observed, i)
 		}
 	}
 }
 
-// TestWindowStatsBytes pins the footprint the set block is for: 8 bytes of
-// matrix per point and one timestamp per sample shared by the whole set —
-// 8 + 8/card by arithmetic, against 16 bytes a point when every metric kept
-// (timestamp, value) pairs of its own. Names, types and the name index are
-// the sets' schemas', not the window's.
+// TestWindowStatsBytes pins what the change log is for. A full-row matrix
+// costs 8 + 8/card bytes a point (8.13 at 64 metrics). A set whose samples
+// change 8 of 64 metrics, as the bench's sets do, must cost at most 2.25 B
+// a point; a set whose every metric changes at most the matrix plus two
+// whole rows (last and base) and 8 B a sample. Names, types and the name
+// index are the sets' schemas', not the window's. The logs must also get
+// there without piling up outgrown copies: what the fill allocates stays
+// within 1.5× of what the window ends up holding, so a fleet's peak RSS is
+// its steady window.
 func TestWindowStatsBytes(t *testing.T) {
-	const fleet = 32
-	for _, tc := range []struct{ card, points int }{
-		{16, 64}, {18, 64}, {64, 64}, {512, 64}, {18, 1024}, {64, 1024},
+	const fleet, points = 8, 64
+	for _, tc := range []struct {
+		name  string
+		card  int
+		write func(*metric.Set, int)
+		limit func(series int) float64
+	}{
+		{"8 of 64 change", 64, rotSample, func(series int) float64 { return 2.25 * float64(series*points) }},
+		{"all 512 change", 512, wideSample, func(int) float64 {
+			return fleet * float64(8*points*(512+1)+16*512+8*points)
+		}},
 	} {
-		w := NewWindowOpts(WindowOptions{Points: tc.points})
-		for p := 0; p < fleet; p++ {
-			set := wideSet(t, fmt.Sprintf("n%02d/wide", p), tc.card)
-			wideSample(set, 0)
-			w.Observe(set)
+		w := NewWindowOpts(WindowOptions{Points: points})
+		sets := make([]*metric.Set, fleet)
+		for p := range sets {
+			sets[p] = wideSet(t, fmt.Sprintf("n%02d/wide", p), tc.card)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 1; i <= 5*points; i++ {
+			for _, set := range sets {
+				tc.write(set, i)
+				w.Observe(set)
+			}
+		}
+		runtime.ReadMemStats(&after)
 		st := w.Stats()
-		if st.SeriesSets != fleet || st.Series != fleet*tc.card {
-			t.Fatalf("card %d: stats %+v", tc.card, st)
+		if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.5*float64(st.Bytes) {
+			t.Errorf("%s: filling the window allocated %d B for %d B kept", tc.name, alloc, st.Bytes)
 		}
-		if want := int64(fleet * 8 * tc.points * (tc.card + 1)); st.Bytes != want {
-			t.Errorf("card %d, %d points: fleet of %d reports %d B, want %d (%.3f B/point)",
-				tc.card, tc.points, fleet, st.Bytes, want, float64(want)/float64(st.Series*tc.points))
+		if st.SeriesSets != fleet || st.Series != fleet*tc.card || st.Points != int64(fleet*tc.card*points) {
+			t.Fatalf("%s: stats %+v", tc.name, st)
 		}
+		perPoint := float64(st.Bytes) / float64(st.Series*points)
+		if limit := tc.limit(st.Series); float64(st.Bytes) > limit {
+			t.Errorf("%s: fleet of %d reports %d B (%.3f B/point), limit %.0f", tc.name, fleet, st.Bytes, perPoint, limit)
+		}
+		t.Logf("%s: %.3f B/point", tc.name, perPoint)
 	}
 }
 
@@ -569,7 +566,7 @@ func mirrorOf(t testing.TB, src *metric.Set) *metric.Set {
 	return mir
 }
 
-// TestWindowSharedDirectory pins what a block's directory is: its set's
+// TestWindowSharedDirectory pins what a series' directory is: its set's
 // schema. Mirrors of one layout share one, whatever Schema objects their
 // sources had; a different list under the same schema name has its own; and
 // the window keeps nothing of a layout once its last set is forgotten.
@@ -577,7 +574,7 @@ func TestWindowSharedDirectory(t *testing.T) {
 	w := NewWindow(8, time.Hour)
 	schemas := func() int {
 		distinct := make(map[*metric.Schema]bool)
-		for _, ss := range w.blocks() {
+		for _, ss := range w.sets() {
 			distinct[ss.schema] = true
 		}
 		return len(distinct)
@@ -617,32 +614,30 @@ func TestWindowSharedDirectory(t *testing.T) {
 // continues the series, another list starts over — values are never
 // served under a name they were not sampled for.
 func TestWindowLayoutChange(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		w := NewWindowOpts(WindowOptions{Points: 8, Retention: time.Hour, Compress: compress})
-		w.SetClock(func() time.Time { return time.Unix(1_700_000_100, 0) })
-		first := wideSet(t, "n1/wide", 4)
-		wideSample(first, 1)
-		w.Observe(first)
-		rebuilt := wideSet(t, "n1/wide", 4)
-		wideSample(rebuilt, 0) // so its DGN is not the one the window saw last
-		wideSample(rebuilt, 2)
-		w.Observe(rebuilt)
-		got := w.Query("m003", 0, time.Unix(0, 0))
-		if len(got) != 1 || len(got[0].Points) != 2 {
-			t.Fatalf("compress=%v: rebuilt mirror with the same list: %+v, want one series of 2 points", compress, got)
-		}
-		wider := wideSet(t, "n1/wide", 6)
-		wideSample(wider, 3)
-		w.Observe(wider)
-		got = w.Query("m003", 0, time.Unix(0, 0))
-		if len(got) != 1 || len(got[0].Points) != 1 || got[0].Points[0].Value.U64() != 3*4 {
-			t.Fatalf("compress=%v: after a layout change m003 = %+v, want only the new set's sample", compress, got)
-		}
-		if got := w.Latest("m005", 0); len(got) != 1 || got[0].Points[0].Value.U64() != 3*6 {
-			t.Fatalf("compress=%v: new metric m005 = %+v", compress, got)
-		}
-		if st := w.Stats(); st.SeriesSets != 1 || st.Series != 6 {
-			t.Fatalf("compress=%v: stats %+v, want one 6-metric set", compress, st)
-		}
+	w := NewWindow(8, time.Hour)
+	w.SetClock(func() time.Time { return time.Unix(1_700_000_100, 0) })
+	first := wideSet(t, "n1/wide", 4)
+	wideSample(first, 1)
+	w.Observe(first)
+	rebuilt := wideSet(t, "n1/wide", 4)
+	wideSample(rebuilt, 0) // so its DGN is not the one the window saw last
+	wideSample(rebuilt, 2)
+	w.Observe(rebuilt)
+	got := w.Query("m003", 0, time.Unix(0, 0))
+	if len(got) != 1 || len(got[0].Points) != 2 {
+		t.Fatalf("rebuilt mirror with the same list: %+v, want one series of 2 points", got)
+	}
+	wider := wideSet(t, "n1/wide", 6)
+	wideSample(wider, 3)
+	w.Observe(wider)
+	got = w.Query("m003", 0, time.Unix(0, 0))
+	if len(got) != 1 || len(got[0].Points) != 1 || got[0].Points[0].Value.U64() != 3*4 {
+		t.Fatalf("after a layout change m003 = %+v, want only the new set's sample", got)
+	}
+	if got := w.Latest("m005", 0); len(got) != 1 || got[0].Points[0].Value.U64() != 3*6 {
+		t.Fatalf("new metric m005 = %+v", got)
+	}
+	if st := w.Stats(); st.SeriesSets != 1 || st.Series != 6 {
+		t.Fatalf("stats %+v, want one 6-metric set", st)
 	}
 }
