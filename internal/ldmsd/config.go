@@ -2,7 +2,7 @@ package ldmsd
 
 import (
 	"fmt"
-	"slices"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,69 +16,27 @@ import (
 
 // Exec interprets one ldmsd configuration command, in the style of the
 // ldmsd_controller text protocol ("load name=meminfo", "start name=meminfo
-// interval=1000000", "prdcr_add name=...", ...). It returns human-readable
-// output. Intervals and offsets accept either plain microseconds (LDMS
-// convention) or Go duration strings ("1s", "20s", "1m").
-//
-// Command set:
-//
-//	load name=<plugin>
-//	config name=<plugin> [instance=<set>] [component_id=<n>] [k=v ...]
-//	start name=<plugin> interval=<us|dur> [offset=<us|dur>] [synchronous=1]
-//	stop name=<plugin>
-//	oneshot name=<plugin>
-//	listen xprt=<transport> addr=<addr>
-//	xprt_opt xprt=sock [delta=0|1] [dict=0|1] [compress=0|1]
-//	             [rbuf=<bytes>] [wbuf=<bytes>]
-//	                             (tune the sock transport: capability masks
-//	                             and per-connection buffer sizes; applies to
-//	                             listeners and producers created afterward;
-//	                             any other key is an error)
-//	http_listen addr=<addr> [window=<dur>] [points=<n>] [shards=<n>]
-//	             [pprof=1]
-//	                             (query & observability gateway; any
-//	                             other key is an error)
-//	prdcr_add name=<p> xprt=<t> host=<addr> [interval=<us|dur>] [standby=1]
-//	prdcr_start name=<p>
-//	prdcr_stop name=<p>
-//	prdcr_activate name=<p>      (failover: begin pulling a standby)
-//	prdcr_deactivate name=<p>
-//	prdcr_status                 (per-producer connection + transfer counters)
-//	updtr_add name=<u> interval=<us|dur> [offset=<us|dur>] [synchronous=1]
-//	             [concurrency=<n>] [batch=<n>]
-//	             [reduce=<op>[,<op>...]] [export=raw|reduced]
-//	                             (in-flight reduction: fold each producer
-//	                             group's sets into synthetic <op> sets;
-//	                             export=reduced publishes only the folds)
-//	updtr_prdcr_add name=<u> prdcr=<p>
-//	updtr_prdcr_del name=<u> prdcr=<p>
-//	updtr_match_add name=<u> match=<substring>
-//	updtr_start name=<u>
-//	updtr_stop name=<u>
-//	updtr_status                 (per-updater pull-path counters)
-//	strgp_add name=<s> plugin=<store> schema=<schema> container=<path>
-//	             [queue=<n>] [batch=<n>] [flush_interval=<us|dur>]
-//	             [overflow=drop-oldest|block] [k=v ...]
-//	strgp_metric_add name=<s> metric=<m>[,<m>...]
-//	strgp_start name=<s>         (accepted; stores start lazily)
-//	strgp_status                 (per-policy queue/batch/drop counters + errors)
-//	dir                          (list local sets)
-//	ls [name=<set>]              (ldms_ls-style listing)
-//	stats                        (activity counters)
-//	usage                        (memory footprint)
-//	events [n=<count>] [severity=info|warn|error] [component=<c>] [subject=<s>]
-//	                             (recent entries of the event journal)
-//	latency                      (per-hop sample-age histogram summary)
-//	trace [chains=1]             (cross-tier span summary per hop daemon/
-//	                             role/stage; chains=1 additionally lists
-//	                             every set's current hop chain)
+// interval=1000000", "prdcr_add name=...", ...), and returns its
+// human-readable output. The commands, their keys and what each does are
+// the commands table below; Exec enforces it.
 func (d *Daemon) Exec(line string) (string, error) {
-	cmd, args, err := parseCommand(line)
+	name, args, err := parseCommand(line)
+	if err != nil || name == "" {
+		return "", err
+	}
+	c := lookupCommand(name)
+	if c == nil {
+		return "", fmt.Errorf("ldmsd: unknown command %q", name)
+	}
+	a, err := c.bind(args)
 	if err != nil {
 		return "", err
 	}
-	out, err := d.exec(cmd, args)
-	if err == nil && mutatingCommands[cmd] {
+	out, err := c.run(d, a)
+	if a.err != nil {
+		return "", a.err
+	}
+	if err == nil && c.mutates {
 		// Config changes are journal events: they explain every later
 		// producer/updater/store transition in the same timeline.
 		d.journal.Appendf(obs.SevInfo, obs.CompConfig, args["name"], 0,
@@ -87,105 +45,281 @@ func (d *Daemon) Exec(line string) (string, error) {
 	return out, err
 }
 
-// mutatingCommands are the Exec commands that change daemon state and are
-// therefore recorded in the event journal (read-only status commands are
-// not).
-var mutatingCommands = map[string]bool{
-	"load": true, "config": true, "start": true, "stop": true,
-	"oneshot": true, "listen": true, "http_listen": true, "advertise": true,
-	"xprt_opt":  true,
-	"prdcr_add": true, "prdcr_start": true, "prdcr_stop": true,
-	"prdcr_activate": true, "prdcr_deactivate": true,
-	"updtr_add": true, "updtr_prdcr_add": true, "updtr_prdcr_del": true,
-	"updtr_match_add": true, "updtr_start": true, "updtr_stop": true,
-	"strgp_add": true, "strgp_metric_add": true, "strgp_start": true,
+// A command is one control command, declared once. Exec rejects a key the
+// entry does not declare, reports the first missing required key, parses
+// every declared key by its kind before run acts, and journals the line
+// when the command mutates the daemon.
+type command struct {
+	name     string
+	mutates  bool
+	required []key // in the order the accepted list names them
+	optional []key
+	plugin   bool // undeclared keys pass through to the plugin
+	summary  string
+	run      func(*Daemon, *argv) (string, error)
 }
 
-func (d *Daemon) exec(cmd string, args map[string]string) (string, error) {
-	switch cmd {
-	case "":
-		return "", nil
-	case "load":
-		return d.cmdLoad(args)
-	case "config":
-		return d.cmdConfig(args)
-	case "start":
-		return d.cmdStart(args)
-	case "stop":
-		return d.cmdStop(args)
-	case "oneshot":
-		return d.cmdOneshot(args)
-	case "listen":
-		return d.cmdListen(args)
-	case "xprt_opt":
-		return d.cmdXprtOpt(args)
-	case "http_listen":
-		return d.cmdHTTPListen(args)
-	case "advertise":
-		return d.cmdAdvertise(args)
-	case "prdcr_add":
-		return d.cmdPrdcrAdd(args)
-	case "prdcr_start":
-		return d.withProducer(args, func(p *Producer) { p.Start() })
-	case "prdcr_stop":
-		return d.withProducer(args, func(p *Producer) { p.Stop() })
-	case "prdcr_activate":
-		return d.withProducer(args, func(p *Producer) { p.Activate() })
-	case "prdcr_deactivate":
-		return d.withProducer(args, func(p *Producer) { p.Deactivate() })
-	case "prdcr_status":
-		return d.cmdPrdcrStatus()
-	case "updtr_add":
-		return d.cmdUpdtrAdd(args)
-	case "updtr_prdcr_add":
-		return d.cmdUpdtrPrdcrAdd(args)
-	case "updtr_prdcr_del":
-		return d.cmdUpdtrPrdcrDel(args)
-	case "updtr_status":
-		return d.cmdUpdtrStatus()
-	case "updtr_match_add":
-		return d.cmdUpdtrMatchAdd(args)
-	case "updtr_start":
-		u, err := d.needUpdater(args)
+// key declares one argument of a command and how its value parses.
+type key struct {
+	name  string
+	kind  kind
+	floor int // least value of a kindInt key
+}
+
+type kind uint8
+
+const (
+	kindStr   kind = iota
+	kindDur        // microseconds or a Go duration
+	kindInt        // a decimal integer no less than floor
+	kindOnOff      // 1, true, 0 or false
+)
+
+func str(name string) key               { return key{name: name} }
+func dur(name string) key               { return key{name: name, kind: kindDur} }
+func minInt(name string, floor int) key { return key{name: name, kind: kindInt, floor: floor} }
+func onOff(name string) key             { return key{name: name, kind: kindOnOff} }
+
+// commands is the control command set, and its reference: each entry's
+// keys, kinds and summary are what the command accepts and does.
+var commands = []command{
+	{name: "load", mutates: true, summary: "declare a sampler plugin",
+		required: []key{str("name")}, run: (*Daemon).cmdLoad},
+	{name: "config", mutates: true, plugin: true, summary: "set a loaded plugin's instance, component ID and plugin options (producer= is accepted for compatibility)",
+		required: []key{str("name")}, optional: []key{str("instance"), minInt("component_id", 0), str("producer")}, run: (*Daemon).cmdConfig},
+	{name: "start", mutates: true, summary: "sample a plugin every interval, aligned to the wall clock when synchronous",
+		required: []key{str("name"), dur("interval")}, optional: []key{dur("offset"), onOff("synchronous")}, run: (*Daemon).cmdStart},
+	{name: "stop", mutates: true, summary: "stop sampling a plugin",
+		required: []key{str("name")}, run: onSampler(func(sp *SamplerPolicy, _ time.Time) error { sp.Stop(); return nil })},
+	{name: "oneshot", mutates: true, summary: "take one sample now",
+		required: []key{str("name")}, run: onSampler((*SamplerPolicy).SampleOnce)},
+	{name: "listen", mutates: true, summary: "serve sets on a transport; peers=1 accepts advertising samplers instead",
+		required: []key{str("xprt"), str("addr")}, optional: []key{onOff("peers")}, run: (*Daemon).cmdListen},
+	{name: "xprt_opt", mutates: true, summary: "tune the sock transport (xprt=sock only): capabilities and buffers for listeners and producers created afterward",
+		optional: []key{str("xprt"), onOff("delta"), onOff("dict"), onOff("compress"), minInt("rbuf", 0), minInt("wbuf", 0)}, run: (*Daemon).cmdXprtOpt},
+	{name: "http_listen", mutates: true, summary: "start the query & observability gateway (window=0 disables the recent window)",
+		required: []key{str("addr")}, optional: []key{dur("window"), minInt("points", 1), minInt("shards", 1), onOff("pprof")}, run: (*Daemon).cmdHTTPListen},
+	{name: "advertise", mutates: true, summary: "dial an aggregator's peers listener and offer this daemon's sets",
+		required: []key{str("xprt"), str("host")}, optional: []key{dur("interval")}, run: (*Daemon).cmdAdvertise},
+	{name: "prdcr_add", mutates: true, summary: "add a producer to pull from (type=passive waits for it to advertise)",
+		required: []key{str("name")}, optional: []key{str("xprt"), str("host"), dur("interval"), onOff("standby"), str("type")}, run: (*Daemon).cmdPrdcrAdd},
+	{name: "prdcr_start", mutates: true, summary: "connect to a producer and keep reconnecting",
+		required: []key{str("name")}, run: onProducer((*Producer).Start)},
+	{name: "prdcr_stop", mutates: true, summary: "disconnect a producer",
+		required: []key{str("name")}, run: onProducer((*Producer).Stop)},
+	{name: "prdcr_activate", mutates: true, summary: "failover: begin pulling a standby producer",
+		required: []key{str("name")}, run: onProducer((*Producer).Activate)},
+	{name: "prdcr_deactivate", mutates: true, summary: "failover: stop pulling a standby producer",
+		required: []key{str("name")}, run: onProducer((*Producer).Deactivate)},
+	{name: "prdcr_status", summary: "per-producer connection and transfer counters", run: (*Daemon).cmdPrdcrStatus},
+	{name: "updtr_add", mutates: true, summary: "add an updater; reduce=<op>[,<op>...] folds each producer group into <op> sets, export=raw|reduced keeps or drops the raw sets",
+		required: []key{str("name"), dur("interval")}, optional: []key{dur("offset"), onOff("synchronous"), minInt("concurrency", 0), minInt("batch", 1), str("reduce"), str("export")}, run: (*Daemon).cmdUpdtrAdd},
+	{name: "updtr_prdcr_add", mutates: true, summary: "pull a producer's sets with an updater",
+		required: []key{str("name"), str("prdcr")}, run: onUpdater(func(u *Updater, a *argv) error { return u.AddProducer(a.str("prdcr")) })},
+	{name: "updtr_prdcr_del", mutates: true, summary: "drop a producer from an updater, with its mirrors",
+		required: []key{str("name"), str("prdcr")}, run: onUpdater(func(u *Updater, a *argv) error { u.RemoveProducer(a.str("prdcr")); return nil })},
+	{name: "updtr_match_add", mutates: true, summary: "pull only the sets whose instance name contains match",
+		required: []key{str("name"), str("match")}, run: onUpdater(func(u *Updater, a *argv) error {
+			match := a.str("match")
+			u.SetMatch(func(instance string) bool { return strings.Contains(instance, match) })
+			return nil
+		})},
+	{name: "updtr_start", mutates: true, summary: "arm an updater's schedule",
+		required: []key{str("name")}, run: onUpdater(func(u *Updater, _ *argv) error { return u.Start() })},
+	{name: "updtr_stop", mutates: true, summary: "cancel an updater's schedule",
+		required: []key{str("name")}, run: onUpdater(func(u *Updater, _ *argv) error { u.Stop(); return nil })},
+	{name: "updtr_status", summary: "per-updater pull-path counters", run: (*Daemon).cmdUpdtrStatus},
+	{name: "strgp_add", mutates: true, plugin: true, summary: "store a schema's rows; queue=, batch=, flush_interval=, overflow=drop-oldest|block and plugin options pass through",
+		required: []key{str("name"), str("plugin"), str("schema"), str("container")}, run: (*Daemon).cmdStrgpAdd},
+	{name: "strgp_metric_add", mutates: true, summary: "store only the listed metrics (comma-separated)",
+		required: []key{str("name"), str("metric")}, run: (*Daemon).cmdStrgpMetricAdd},
+	{name: "strgp_start", mutates: true, summary: "accepted; stores start lazily",
+		required: []key{str("name")}, run: (*Daemon).cmdStrgpStart},
+	{name: "strgp_status", summary: "per-policy queue, batch and drop counters and errors", run: (*Daemon).cmdStrgpStatus},
+	{name: "dir", summary: "list local sets", run: (*Daemon).cmdDir},
+	{name: "ls", summary: "ldms_ls-style listing: set names, or one set's metrics",
+		optional: []key{str("name")}, run: (*Daemon).cmdLs},
+	{name: "stats", summary: "activity counters", run: (*Daemon).cmdStats},
+	{name: "usage", summary: "set memory footprint", run: (*Daemon).cmdUsage},
+	{name: "events", summary: "recent event journal entries (severity=info|warn|error)",
+		optional: []key{minInt("n", 0), str("severity"), str("component"), str("subject")}, run: (*Daemon).cmdEvents},
+	{name: "latency", summary: "per-hop sample-age histogram summary", run: (*Daemon).cmdLatency},
+	{name: "trace", summary: "cross-tier span summary per hop daemon, role and stage; chains=1 lists every set's hop chain",
+		optional: []key{onOff("chains")}, run: (*Daemon).cmdTrace},
+}
+
+func lookupCommand(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
+}
+
+// keys lists the entry's keys, required first, in the order the unknown-key
+// error names them.
+func (c *command) keys() []key {
+	return append(append([]key(nil), c.required...), c.optional...)
+}
+
+func (c *command) key(name string) (key, bool) {
+	for _, k := range c.keys() {
+		if k.name == name {
+			return k, true
+		}
+	}
+	return key{}, false
+}
+
+// bind checks args against the entry and parses every declared key. An
+// empty value counts as absent.
+func (c *command) bind(args map[string]string) (*argv, error) {
+	a := &argv{cmd: c, vals: make(map[string]any), extra: make(map[string]string)}
+	given := make([]string, 0, len(args))
+	for k := range args {
+		given = append(given, k)
+	}
+	sort.Strings(given)
+	for _, k := range given {
+		if _, ok := c.key(k); ok {
+			continue
+		}
+		if !c.plugin {
+			var accepted []string
+			for _, k := range c.keys() {
+				accepted = append(accepted, k.name)
+			}
+			return nil, fmt.Errorf("ldmsd: %s: unknown key %q (accepted: %s)", c.name, k, strings.Join(accepted, ", "))
+		}
+		a.extra[k] = args[k]
+	}
+	for i, k := range c.keys() {
+		v := args[k.name]
+		if v == "" {
+			if i < len(c.required) {
+				return nil, fmt.Errorf("ldmsd: %s requires %s=", c.name, k.name)
+			}
+			continue
+		}
+		p, err := k.parse(v)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return "", u.Start()
-	case "updtr_stop":
-		u, err := d.needUpdater(args)
+		a.vals[k.name] = p
+	}
+	return a, nil
+}
+
+func (k key) parse(v string) (any, error) {
+	switch k.kind {
+	case kindDur:
+		d, err := parseInterval(v)
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("ldmsd: bad %s %q", k.name, v)
 		}
-		u.Stop()
-		return "", nil
-	case "strgp_add":
-		return d.cmdStrgpAdd(args)
-	case "strgp_status":
-		return d.cmdStrgpStatus()
-	case "strgp_metric_add":
-		return d.cmdStrgpMetricAdd(args)
-	case "strgp_start":
-		if d.StoragePolicy(args["name"]) == nil {
-			return "", fmt.Errorf("ldmsd %s: no storage policy %q", d.name, args["name"])
+		return d, nil
+	case kindInt:
+		n, err := strconv.Atoi(v)
+		if err != nil || n < k.floor {
+			return nil, fmt.Errorf("ldmsd: bad %s %q", k.name, v)
 		}
+		return n, nil
+	case kindOnOff:
+		return parseOnOff(k.name, v)
+	}
+	return v, nil
+}
+
+// parseOnOff is the one on/off grammar of every command key.
+func parseOnOff(key, s string) (bool, error) {
+	switch s {
+	case "1", "true":
+		return true, nil
+	case "0", "false":
+		return false, nil
+	}
+	return false, fmt.Errorf("ldmsd: bad %s %q (want 1, true, 0 or false)", key, s)
+}
+
+// argv is one command line's arguments, checked and parsed against its
+// table entry. Handlers read them only through the typed accessors.
+type argv struct {
+	cmd   *command
+	vals  map[string]any    // declared keys given a value, parsed
+	extra map[string]string // undeclared keys of a plugin command
+	err   error             // the first read of an undeclared key
+}
+
+// get returns the named key's parsed value, nil when absent. Reading a key
+// the entry does not declare, or as another kind, fails the command.
+func (a *argv) get(name string, want kind) any {
+	if k, ok := a.cmd.key(name); !ok || k.kind != want {
+		if a.err == nil {
+			a.err = fmt.Errorf("ldmsd: %s: handler reads undeclared key %q", a.cmd.name, name)
+		}
+		return nil
+	}
+	return a.vals[name]
+}
+
+func (a *argv) str(name string) string {
+	s, _ := a.get(name, kindStr).(string)
+	return s
+}
+
+func (a *argv) dur(name string) time.Duration {
+	d, _ := a.get(name, kindDur).(time.Duration)
+	return d
+}
+
+// num returns the named integer key, or def when it is absent.
+func (a *argv) num(name string, def int) int {
+	if n, ok := a.get(name, kindInt).(int); ok {
+		return n
+	}
+	return def
+}
+
+func (a *argv) on(name string) bool {
+	v, _ := a.get(name, kindOnOff).(bool)
+	return v
+}
+
+// onProducer is the handler of a command that applies f to the producer
+// its name= names.
+func onProducer(f func(*Producer)) func(*Daemon, *argv) (string, error) {
+	return func(d *Daemon, a *argv) (string, error) {
+		p := d.Producer(a.str("name"))
+		if p == nil {
+			return "", fmt.Errorf("ldmsd %s: no producer %q", d.name, a.str("name"))
+		}
+		f(p)
 		return "", nil
-	case "dir":
-		return strings.Join(d.reg.Dir(), "\n"), nil
-	case "ls":
-		return d.cmdLs(args)
-	case "stats":
-		return d.cmdStats()
-	case "usage":
-		st := d.arena.Stats()
-		return fmt.Sprintf("set_memory: used=%d peak=%d budget=%d", st.InUse, st.Peak, st.Capacity), nil
-	case "events":
-		return d.cmdEvents(args)
-	case "latency":
-		return d.cmdLatency()
-	case "trace":
-		return d.cmdTrace(args)
-	default:
-		return "", fmt.Errorf("ldmsd: unknown command %q", cmd)
+	}
+}
+
+// onUpdater is the handler of a command that applies f to the updater its
+// name= names.
+func onUpdater(f func(*Updater, *argv) error) func(*Daemon, *argv) (string, error) {
+	return func(d *Daemon, a *argv) (string, error) {
+		u := d.Updater(a.str("name"))
+		if u == nil {
+			return "", fmt.Errorf("ldmsd %s: no updater %q", d.name, a.str("name"))
+		}
+		return "", f(u, a)
+	}
+}
+
+// onSampler is the handler of a command that applies f to the running
+// sampler its name= names.
+func onSampler(f func(*SamplerPolicy, time.Time) error) func(*Daemon, *argv) (string, error) {
+	return func(d *Daemon, a *argv) (string, error) {
+		sp := d.Sampler(a.str("name"))
+		if sp == nil {
+			return "", fmt.Errorf("ldmsd %s: plugin %q not running", d.name, a.str("name"))
+		}
+		return "", f(sp, d.sch.Now())
 	}
 }
 
@@ -246,95 +380,57 @@ type pendingPlugin struct {
 	options  map[string]string
 }
 
-// pending is lazily allocated on the daemon.
-func (d *Daemon) pendingFor(name string) *pendingPlugin {
-	if d.pending == nil {
-		d.pending = make(map[string]*pendingPlugin)
-	}
-	p := d.pending[name]
-	if p == nil {
-		p = &pendingPlugin{compID: d.compID, options: make(map[string]string)}
-		d.pending[name] = p
-	}
-	return p
-}
-
-func (d *Daemon) cmdLoad(args map[string]string) (string, error) {
-	name := args["name"]
-	if name == "" {
-		return "", fmt.Errorf("ldmsd: load requires name=")
-	}
+func (d *Daemon) cmdLoad(a *argv) (string, error) {
+	name := a.str("name")
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, dup := d.samplers[name]; dup {
 		return "", fmt.Errorf("ldmsd %s: plugin %q already loaded", d.name, name)
 	}
-	d.pendingFor(name)
+	if d.pending == nil {
+		d.pending = make(map[string]*pendingPlugin)
+	}
+	if d.pending[name] == nil {
+		d.pending[name] = &pendingPlugin{compID: d.compID, options: make(map[string]string)}
+	}
 	return "", nil
 }
 
-func (d *Daemon) cmdConfig(args map[string]string) (string, error) {
-	name := args["name"]
-	if name == "" {
-		return "", fmt.Errorf("ldmsd: config requires name=")
-	}
+// cmdConfig applies a config line whole: bind has parsed every key, so a
+// bad one has already failed the command before anything changes.
+func (d *Daemon) cmdConfig(a *argv) (string, error) {
+	name, instance, compID := a.str("name"), a.str("instance"), a.num("component_id", -1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pending == nil || d.pending[name] == nil {
+	p := d.pending[name]
+	if p == nil {
 		return "", fmt.Errorf("ldmsd %s: plugin %q not loaded", d.name, name)
 	}
-	p := d.pending[name]
-	for k, v := range args {
-		switch k {
-		case "name":
-		case "instance":
-			p.instance = v
-		case "component_id":
-			id, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return "", fmt.Errorf("ldmsd: bad component_id %q", v)
-			}
-			p.compID = id
-		case "producer":
-			// Accepted for compatibility; the instance name carries it.
-		default:
-			p.options[k] = v
-		}
+	if instance != "" {
+		p.instance = instance
 	}
+	if compID >= 0 {
+		p.compID = uint64(compID)
+	}
+	maps.Copy(p.options, a.extra)
 	return "", nil
 }
 
-func (d *Daemon) cmdStart(args map[string]string) (string, error) {
-	name := args["name"]
-	if name == "" {
-		return "", fmt.Errorf("ldmsd: start requires name=")
-	}
-	interval, err := parseInterval(args["interval"])
-	if err != nil || interval <= 0 {
+func (d *Daemon) cmdStart(a *argv) (string, error) {
+	name, interval, offset, synchronous := a.str("name"), a.dur("interval"), a.dur("offset"), a.on("synchronous")
+	if interval <= 0 {
 		return "", fmt.Errorf("ldmsd: start requires a positive interval")
 	}
-	offset, err := parseInterval(args["offset"])
-	if err != nil {
-		return "", err
-	}
-	_, synchronous := args["synchronous"]
-	if v := args["synchronous"]; v == "0" {
-		synchronous = false
-	}
-
 	sp := d.Sampler(name)
 	if sp == nil {
 		d.mu.Lock()
-		pend := (*pendingPlugin)(nil)
-		if d.pending != nil {
-			pend = d.pending[name]
-		}
+		pend := d.pending[name]
 		d.mu.Unlock()
 		if pend == nil {
 			return "", fmt.Errorf("ldmsd %s: plugin %q not loaded", d.name, name)
 		}
-		sp, err = d.loadSamplerComp(name, pend.instance, pend.compID, pend.options)
-		if err != nil {
+		var err error
+		if sp, err = d.loadSamplerComp(name, pend.instance, pend.compID, pend.options); err != nil {
 			return "", err
 		}
 	}
@@ -342,56 +438,22 @@ func (d *Daemon) cmdStart(args map[string]string) (string, error) {
 	return "", nil
 }
 
-func (d *Daemon) cmdStop(args map[string]string) (string, error) {
-	sp := d.Sampler(args["name"])
-	if sp == nil {
-		return "", fmt.Errorf("ldmsd %s: plugin %q not running", d.name, args["name"])
+func (d *Daemon) cmdListen(a *argv) (string, error) {
+	if a.on("peers") {
+		return d.ListenForProducers(a.str("xprt"), a.str("addr"))
 	}
-	sp.Stop()
-	return "", nil
+	return d.Listen(a.str("xprt"), a.str("addr"))
 }
-
-func (d *Daemon) cmdOneshot(args map[string]string) (string, error) {
-	sp := d.Sampler(args["name"])
-	if sp == nil {
-		return "", fmt.Errorf("ldmsd %s: plugin %q not running", d.name, args["name"])
-	}
-	return "", sp.SampleOnce(d.sch.Now())
-}
-
-func (d *Daemon) cmdListen(args map[string]string) (string, error) {
-	xprt, addr := args["xprt"], args["addr"]
-	if xprt == "" || addr == "" {
-		return "", fmt.Errorf("ldmsd: listen requires xprt= and addr=")
-	}
-	if args["peers"] == "1" {
-		return d.ListenForProducers(xprt, addr)
-	}
-	bound, err := d.Listen(xprt, addr)
-	if err != nil {
-		return "", err
-	}
-	return bound, nil
-}
-
-// xprtOptKeys are the keys xprt_opt accepts, in the order its error lists
-// them.
-var xprtOptKeys = []string{"xprt", "delta", "dict", "compress", "rbuf", "wbuf"}
 
 // cmdXprtOpt tunes the sock transport factory: capability masks
 // (delta/dict/compress toggle individually) and per-connection read/write
 // buffer sizes. The tuned factory replaces the registered one: new listeners
 // use it immediately, and producers re-resolve it on every connect attempt,
 // so a prdcr_stop/prdcr_start cycle (or any reconnect) renegotiates under
-// the new settings. Live connections keep what they negotiated. A key it
-// does not know is an error, and any error leaves the factory as it was.
-func (d *Daemon) cmdXprtOpt(args map[string]string) (string, error) {
-	for k := range args {
-		if !slices.Contains(xprtOptKeys, k) {
-			return "", fmt.Errorf("ldmsd: xprt_opt: unknown key %q (accepted: %s)", k, strings.Join(xprtOptKeys, ", "))
-		}
-	}
-	if x := args["xprt"]; x != "" && x != "sock" {
+// the new settings. Live connections keep what they negotiated. Any error
+// leaves the factory as it was.
+func (d *Daemon) cmdXprtOpt(a *argv) (string, error) {
+	if x := a.str("xprt"); x != "" && x != "sock" {
 		return "", fmt.Errorf("ldmsd: xprt_opt supports xprt=sock only, got %q", x)
 	}
 	d.mu.Lock()
@@ -405,89 +467,29 @@ func (d *Daemon) cmdXprtOpt(args map[string]string) (string, error) {
 		{"dict", &sf.NoDict},
 		{"compress", &sf.NoCompress},
 	} {
-		if v, ok, err := parseOnOff(opt.key, args); err != nil {
-			return "", err
-		} else if ok {
+		if v, ok := a.get(opt.key, kindOnOff).(bool); ok {
 			*opt.mask = !v
 		}
 	}
-	for _, opt := range []struct {
-		key string
-		dst *int
-	}{
-		{"rbuf", &sf.ReadBuf},
-		{"wbuf", &sf.WriteBuf},
-	} {
-		if v := args[opt.key]; v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return "", fmt.Errorf("ldmsd: bad %s %q", opt.key, v)
-			}
-			*opt.dst = n
-		}
-	}
+	sf.ReadBuf = a.num("rbuf", sf.ReadBuf)
+	sf.WriteBuf = a.num("wbuf", sf.WriteBuf)
 	d.transports["sock"] = sf
 	return "", nil
 }
 
-// parseOnOff reads a 0/1 boolean option; ok is false when absent.
-func parseOnOff(key string, args map[string]string) (v, ok bool, err error) {
-	s, present := args[key]
-	if !present || s == "" {
-		return false, false, nil
-	}
-	switch s {
-	case "1", "true":
-		return true, true, nil
-	case "0", "false":
-		return false, true, nil
-	}
-	return false, false, fmt.Errorf("ldmsd: bad %s %q (want 0 or 1)", key, s)
-}
-
-// httpListenKeys are the keys http_listen accepts, in the order its error
-// lists them.
-var httpListenKeys = []string{"addr", "window", "points", "shards", "pprof"}
-
-// cmdHTTPListen starts the query & observability gateway. A key it does
-// not know is an error, and then nothing starts.
-func (d *Daemon) cmdHTTPListen(args map[string]string) (string, error) {
-	for k := range args {
-		if !slices.Contains(httpListenKeys, k) {
-			return "", fmt.Errorf("ldmsd: http_listen: unknown key %q (accepted: %s)", k, strings.Join(httpListenKeys, ", "))
-		}
-	}
-	addr := args["addr"]
-	if addr == "" {
-		return "", fmt.Errorf("ldmsd: http_listen requires addr=")
-	}
+// cmdHTTPListen starts the query & observability gateway.
+func (d *Daemon) cmdHTTPListen(a *argv) (string, error) {
 	cfg := GatewayConfig{
-		Addr:  addr,
-		PProf: args["pprof"] == "1",
+		Addr:   a.str("addr"),
+		Points: a.num("points", 0),
+		Shards: a.num("shards", 0),
+		PProf:  a.on("pprof"),
 	}
-	if v := args["window"]; v != "" {
-		w, err := parseInterval(v)
-		if err != nil {
-			return "", fmt.Errorf("ldmsd: bad window %q", v)
-		}
+	if w, ok := a.get("window", kindDur).(time.Duration); ok {
 		if w == 0 {
 			w = -1 // window=0 disables the recent-window cache
 		}
 		cfg.Window = w
-	}
-	if v := args["points"]; v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return "", fmt.Errorf("ldmsd: bad points %q", v)
-		}
-		cfg.Points = n
-	}
-	if v := args["shards"]; v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return "", fmt.Errorf("ldmsd: bad shards %q", v)
-		}
-		cfg.Shards = n
 	}
 	return d.ServeHTTP(cfg)
 }
@@ -496,7 +498,7 @@ func (d *Daemon) cmdHTTPListen(args map[string]string) (string, error) {
 // counters: one line per producer in name order. Each line carries the
 // daemon's tier role and the producer's mirrored-set count so a topology
 // consumer (ldms-top) can render fan-in depth from status output alone.
-func (d *Daemon) cmdPrdcrStatus() (string, error) {
+func (d *Daemon) cmdPrdcrStatus(*argv) (string, error) {
 	d.mu.Lock()
 	prdcrs := mapValues(d.prdcrs)
 	d.mu.Unlock()
@@ -557,31 +559,21 @@ func timestampOrNever(t time.Time) string {
 	return t.UTC().Format(time.RFC3339)
 }
 
-func (d *Daemon) cmdAdvertise(args map[string]string) (string, error) {
-	xprt, host := args["xprt"], args["host"]
-	if xprt == "" || host == "" {
-		return "", fmt.Errorf("ldmsd: advertise requires xprt= and host=")
-	}
-	interval, err := parseInterval(args["interval"])
-	if err != nil {
-		return "", err
-	}
-	a, err := d.Advertise(xprt, host, interval)
+func (d *Daemon) cmdAdvertise(a *argv) (string, error) {
+	adv, err := d.Advertise(a.str("xprt"), a.str("host"), a.dur("interval"))
 	if err != nil {
 		return "", err
 	}
 	d.mu.Lock()
-	d.advs = append(d.advs, a)
+	d.advs = append(d.advs, adv)
 	d.mu.Unlock()
 	return "", nil
 }
 
-func (d *Daemon) cmdPrdcrAdd(args map[string]string) (string, error) {
-	name, xprt, host := args["name"], args["xprt"], args["host"]
-	if name == "" {
-		return "", fmt.Errorf("ldmsd: prdcr_add requires name=")
-	}
-	if args["type"] == "passive" {
+func (d *Daemon) cmdPrdcrAdd(a *argv) (string, error) {
+	name, xprt, host := a.str("name"), a.str("xprt"), a.str("host")
+	interval, standby := a.dur("interval"), a.on("standby")
+	if a.str("type") == "passive" {
 		// The connection arrives from the sampler side (advertise).
 		_, err := d.AddPassiveProducer(name)
 		return "", err
@@ -589,71 +581,36 @@ func (d *Daemon) cmdPrdcrAdd(args map[string]string) (string, error) {
 	if xprt == "" || host == "" {
 		return "", fmt.Errorf("ldmsd: prdcr_add requires xprt= and host= (or type=passive)")
 	}
-	interval, err := parseInterval(args["interval"])
-	if err != nil {
-		return "", err
-	}
-	standby := args["standby"] == "1"
-	_, err = d.AddProducer(name, xprt, host, interval, standby)
+	_, err := d.AddProducer(name, xprt, host, interval, standby)
 	return "", err
 }
 
-func (d *Daemon) withProducer(args map[string]string, f func(*Producer)) (string, error) {
-	p := d.Producer(args["name"])
-	if p == nil {
-		return "", fmt.Errorf("ldmsd %s: no producer %q", d.name, args["name"])
-	}
-	f(p)
-	return "", nil
-}
-
-func (d *Daemon) cmdUpdtrAdd(args map[string]string) (string, error) {
-	name := args["name"]
-	if name == "" {
-		return "", fmt.Errorf("ldmsd: updtr_add requires name=")
-	}
-	interval, err := parseInterval(args["interval"])
-	if err != nil || interval <= 0 {
+func (d *Daemon) cmdUpdtrAdd(a *argv) (string, error) {
+	name, interval, offset, synchronous := a.str("name"), a.dur("interval"), a.dur("offset"), a.on("synchronous")
+	concurrency, batch := a.num("concurrency", -1), a.num("batch", 0)
+	reduce, export := a.str("reduce"), a.str("export")
+	if interval <= 0 {
 		return "", fmt.Errorf("ldmsd: updtr_add requires a positive interval")
 	}
-	offset, err := parseInterval(args["offset"])
-	if err != nil {
-		return "", err
-	}
-	concurrency, batch := -1, -1
-	if v := args["concurrency"]; v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return "", fmt.Errorf("ldmsd: bad concurrency %q", v)
-		}
-		concurrency = n
-	}
-	if v := args["batch"]; v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return "", fmt.Errorf("ldmsd: bad batch %q", v)
-		}
-		batch = n
-	}
 	var reduceOps []tier.Op
-	if v := args["reduce"]; v != "" {
-		reduceOps, err = tier.ParseOps(v)
-		if err != nil {
+	if reduce != "" {
+		var err error
+		if reduceOps, err = tier.ParseOps(reduce); err != nil {
 			return "", fmt.Errorf("ldmsd: %w", err)
 		}
 	}
 	exportRaw := true
-	switch v := args["export"]; v {
+	switch export {
 	case "", "raw":
 	case "reduced":
 		exportRaw = false
 	default:
-		return "", fmt.Errorf("ldmsd: bad export %q (want raw or reduced)", v)
+		return "", fmt.Errorf("ldmsd: bad export %q (want raw or reduced)", export)
 	}
-	if args["export"] != "" && len(reduceOps) == 0 {
+	if export != "" && len(reduceOps) == 0 {
 		return "", fmt.Errorf("ldmsd: export= requires reduce=")
 	}
-	u, err := d.AddUpdater(name, interval, offset, args["synchronous"] == "1")
+	u, err := d.AddUpdater(name, interval, offset, synchronous)
 	if err != nil {
 		return "", err
 	}
@@ -671,37 +628,9 @@ func (d *Daemon) cmdUpdtrAdd(args map[string]string) (string, error) {
 	return "", nil
 }
 
-func (d *Daemon) needUpdater(args map[string]string) (*Updater, error) {
-	u := d.Updater(args["name"])
-	if u == nil {
-		return nil, fmt.Errorf("ldmsd %s: no updater %q", d.name, args["name"])
-	}
-	return u, nil
-}
-
-func (d *Daemon) cmdUpdtrPrdcrAdd(args map[string]string) (string, error) {
-	u, err := d.needUpdater(args)
-	if err != nil {
-		return "", err
-	}
-	return "", u.AddProducer(args["prdcr"])
-}
-
-func (d *Daemon) cmdUpdtrPrdcrDel(args map[string]string) (string, error) {
-	u, err := d.needUpdater(args)
-	if err != nil {
-		return "", err
-	}
-	if args["prdcr"] == "" {
-		return "", fmt.Errorf("ldmsd: updtr_prdcr_del requires prdcr=")
-	}
-	u.RemoveProducer(args["prdcr"])
-	return "", nil
-}
-
 // cmdUpdtrStatus renders per-updater pull-path counters: one line per
 // updater in name order.
-func (d *Daemon) cmdUpdtrStatus() (string, error) {
+func (d *Daemon) cmdUpdtrStatus(*argv) (string, error) {
 	d.mu.Lock()
 	updtrs := mapValues(d.updtrs)
 	d.mu.Unlock()
@@ -750,43 +679,15 @@ func (d *Daemon) cmdUpdtrStatus() (string, error) {
 	return strings.Join(lines, "\n"), nil
 }
 
-func (d *Daemon) cmdUpdtrMatchAdd(args map[string]string) (string, error) {
-	u, err := d.needUpdater(args)
-	if err != nil {
-		return "", err
-	}
-	match := args["match"]
-	if match == "" {
-		return "", fmt.Errorf("ldmsd: updtr_match_add requires match=")
-	}
-	u.SetMatch(func(instance string) bool {
-		return strings.Contains(instance, match)
-	})
-	return "", nil
-}
-
-func (d *Daemon) cmdStrgpAdd(args map[string]string) (string, error) {
-	name, plugin := args["name"], args["plugin"]
-	schema, container := args["schema"], args["container"]
-	if name == "" || plugin == "" || schema == "" || container == "" {
-		return "", fmt.Errorf("ldmsd: strgp_add requires name=, plugin=, schema= and container=")
-	}
-	options := make(map[string]string)
-	for k, v := range args {
-		switch k {
-		case "name", "plugin", "schema", "container":
-		default:
-			options[k] = v
-		}
-	}
-	_, err := d.AddStoragePolicy(name, plugin, schema, container, options)
+func (d *Daemon) cmdStrgpAdd(a *argv) (string, error) {
+	_, err := d.AddStoragePolicy(a.str("name"), a.str("plugin"), a.str("schema"), a.str("container"), a.extra)
 	return "", err
 }
 
 // cmdStrgpStatus renders per-policy storage-pipeline state: one line per
 // policy in name order, including the sticky failure (if any) so silently
 // dropped rows are visible to operators.
-func (d *Daemon) cmdStrgpStatus() (string, error) {
+func (d *Daemon) cmdStrgpStatus(*argv) (string, error) {
 	d.mu.Lock()
 	strgps := mapValues(d.strgps)
 	d.mu.Unlock()
@@ -815,31 +716,49 @@ func (d *Daemon) cmdStrgpStatus() (string, error) {
 	return strings.Join(lines, "\n"), nil
 }
 
-func (d *Daemon) cmdStrgpMetricAdd(args map[string]string) (string, error) {
-	sp := d.StoragePolicy(args["name"])
-	if sp == nil {
-		return "", fmt.Errorf("ldmsd %s: no storage policy %q", d.name, args["name"])
-	}
-	m := args["metric"]
-	if m == "" {
-		return "", fmt.Errorf("ldmsd: strgp_metric_add requires metric=")
+func (d *Daemon) cmdStrgpMetricAdd(a *argv) (string, error) {
+	sp, err := d.namedStoragePolicy(a)
+	if err != nil {
+		return "", err
 	}
 	sp.mu.Lock()
 	if sp.metricSel == nil {
 		sp.metricSel = make(map[string]bool)
 	}
-	for _, name := range strings.Split(m, ",") {
+	for _, name := range strings.Split(a.str("metric"), ",") {
 		sp.metricSel[name] = true
 	}
 	sp.mu.Unlock()
 	return "", nil
 }
 
+func (d *Daemon) cmdStrgpStart(a *argv) (string, error) {
+	_, err := d.namedStoragePolicy(a)
+	return "", err
+}
+
+func (d *Daemon) namedStoragePolicy(a *argv) (*StoragePolicy, error) {
+	sp := d.StoragePolicy(a.str("name"))
+	if sp == nil {
+		return nil, fmt.Errorf("ldmsd %s: no storage policy %q", d.name, a.str("name"))
+	}
+	return sp, nil
+}
+
+func (d *Daemon) cmdDir(*argv) (string, error) {
+	return strings.Join(d.reg.Dir(), "\n"), nil
+}
+
+func (d *Daemon) cmdUsage(*argv) (string, error) {
+	st := d.arena.Stats()
+	return fmt.Sprintf("set_memory: used=%d peak=%d budget=%d", st.InUse, st.Peak, st.Capacity), nil
+}
+
 // cmdLs renders sets ldms_ls style: names only, or metrics of one set.
-func (d *Daemon) cmdLs(args map[string]string) (string, error) {
-	name := args["name"]
+func (d *Daemon) cmdLs(a *argv) (string, error) {
+	name := a.str("name")
 	if name == "" {
-		return strings.Join(d.reg.Dir(), "\n"), nil
+		return d.cmdDir(a)
 	}
 	set := d.reg.Get(name)
 	if set == nil {
@@ -874,24 +793,16 @@ func typeTag(t interface{ String() string }) byte {
 
 // cmdEvents renders the event journal, oldest first: one line per event
 // with key=value fields matching the other status commands.
-func (d *Daemon) cmdEvents(args map[string]string) (string, error) {
-	n := 20
-	if v := args["n"]; v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			return "", fmt.Errorf("ldmsd: bad n %q", v)
-		}
-		n = parsed
-	}
+func (d *Daemon) cmdEvents(a *argv) (string, error) {
 	minSev := obs.SevInfo
-	if v := args["severity"]; v != "" {
+	if v := a.str("severity"); v != "" {
 		parsed, err := obs.ParseSeverity(v)
 		if err != nil {
 			return "", fmt.Errorf("ldmsd: %w", err)
 		}
 		minSev = parsed
 	}
-	events := d.journal.Query(n, minSev, args["component"], args["subject"])
+	events := d.journal.Query(a.num("n", 20), minSev, a.str("component"), a.str("subject"))
 	lines := make([]string, 0, len(events))
 	for _, ev := range events {
 		line := fmt.Sprintf("seq=%d time=%s sev=%s component=%s",
@@ -911,7 +822,7 @@ func (d *Daemon) cmdEvents(args map[string]string) (string, error) {
 // cmdLatency renders the per-hop sample-age histograms: how old samples
 // were when they completed the pull, entered the recent window, and
 // reached the store plugin.
-func (d *Daemon) cmdLatency() (string, error) {
+func (d *Daemon) cmdLatency(*argv) (string, error) {
 	var lines []string
 	for _, h := range d.lat.Snapshot() {
 		lines = append(lines, fmt.Sprintf(
@@ -925,14 +836,14 @@ func (d *Daemon) cmdLatency() (string, error) {
 // daemon, tier role, and pipeline stage, covering this daemon and every
 // traced hop below it. chains=1 additionally lists each published set's
 // current hop chain, origin hop first.
-func (d *Daemon) cmdTrace(args map[string]string) (string, error) {
+func (d *Daemon) cmdTrace(a *argv) (string, error) {
 	var lines []string
 	for _, s := range d.Spans() {
 		lines = append(lines, fmt.Sprintf(
 			"daemon=%s role=%s stage=%s count=%d p50=%s p95=%s p99=%s max=%s",
 			s.Daemon, s.Role, s.Stage, s.Count, s.P50, s.P95, s.P99, s.Max))
 	}
-	if args["chains"] == "1" {
+	if a.on("chains") {
 		for _, c := range d.Chains() {
 			var hops []string
 			for _, h := range c.Hops {
@@ -946,7 +857,7 @@ func (d *Daemon) cmdTrace(args map[string]string) (string, error) {
 }
 
 // cmdStats renders the daemon activity counters.
-func (d *Daemon) cmdStats() (string, error) {
+func (d *Daemon) cmdStats(*argv) (string, error) {
 	st := d.Stats()
 	keys := []string{
 		fmt.Sprintf("samples=%d", st.Samples),

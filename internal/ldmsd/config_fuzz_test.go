@@ -6,41 +6,48 @@ import (
 	"unicode/utf8"
 )
 
-// documentedCommands is one example of every command in the Exec doc
-// comment — the fuzz seed corpus, and a guard that the parser accepts
-// the whole documented surface.
+// documentedCommands is an example of every command in the commands
+// table, in an order that runs on one daemon — the fuzz seed corpus, and
+// the lines TestCommandTable executes. Each runs as written there, except
+// that the container path is a temp file and the advertised host is the
+// daemon's own peers listener.
 var documentedCommands = []string{
 	"load name=meminfo",
-	"config name=meminfo instance=n1/meminfo component_id=7 with_units=1",
+	"config name=meminfo instance=agg/meminfo component_id=7 with_units=1",
 	"start name=meminfo interval=1000000 offset=0 synchronous=1",
 	"start name=meminfo interval=1s offset=20ms",
-	"stop name=meminfo",
 	"oneshot name=meminfo",
-	"listen xprt=sock addr=127.0.0.1:10444",
-	"http_listen addr=127.0.0.1:8080 window=10m points=1024 pprof=1",
-	"prdcr_add name=n1 xprt=sock host=127.0.0.1:10444 interval=1000000 standby=1",
+	"stop name=meminfo",
+	"listen xprt=sock addr=127.0.0.1:0",
+	"listen xprt=sock addr=127.0.0.1:0 peers=1",
+	"advertise xprt=sock host=127.0.0.1:10444 interval=1s",
+	"xprt_opt xprt=sock delta=0 dict=1 compress=0 rbuf=65536 wbuf=65536",
+	"http_listen addr=127.0.0.1:0 window=10m points=1024 shards=2 pprof=1",
+	"prdcr_add name=n1 xprt=mem host=n1 interval=1000000 standby=1",
+	"prdcr_add name=pp type=passive",
 	"prdcr_start name=n1",
-	"prdcr_stop name=n1",
 	"prdcr_activate name=n1",
 	"prdcr_deactivate name=n1",
+	"prdcr_stop name=n1",
 	"prdcr_status",
-	"updtr_add name=u1 interval=1s offset=0 synchronous=1 concurrency=4 batch=32",
+	"updtr_add name=u1 interval=1s offset=0 synchronous=1 concurrency=4 batch=32 reduce=avg,max export=raw",
 	"updtr_prdcr_add name=u1 prdcr=n1",
-	"updtr_prdcr_del name=u1 prdcr=n1",
 	"updtr_match_add name=u1 match=meminfo",
 	"updtr_start name=u1",
 	"updtr_stop name=u1",
+	"updtr_prdcr_del name=u1 prdcr=n1",
 	"updtr_status",
 	"strgp_add name=s1 plugin=store_csv schema=meminfo container=/tmp/out.csv queue=1024 batch=64 flush_interval=1s overflow=drop-oldest",
 	"strgp_metric_add name=s1 metric=MemFree,MemTotal",
 	"strgp_start name=s1",
 	"strgp_status",
 	"dir",
-	"ls name=n1/meminfo",
+	"ls name=agg/meminfo",
 	"stats",
 	"usage",
 	"events n=16 severity=warn component=producer subject=n1",
 	"latency",
+	"trace chains=1",
 }
 
 // TestParseCommandDocumentedCorpus pins the seed corpus: every
