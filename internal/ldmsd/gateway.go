@@ -363,7 +363,7 @@ func (d *Daemon) collectSelfMetrics(e *query.Expo) {
 	e.Counter("ldmsd_server_lookups_total", "Lookup requests served to pulling peers.", []query.Label{dl}, float64(ss.Lookups))
 	e.Counter("ldmsd_server_updates_total", "Update (data pull) requests served to pulling peers.", []query.Label{dl}, float64(ss.Updates))
 	e.Counter("ldmsd_server_bytes_out_total", "Payload bytes served to pulling peers.", []query.Label{dl}, float64(ss.BytesOut))
-	e.Counter("ldmsd_server_deflate_offers_total", "Response frames offered to deflate (every one >= 512 B, but a set's update responses back off while deflate keeps losing on them).", []query.Label{dl}, float64(ss.DeflateOffers))
+	e.Counter("ldmsd_server_deflate_offers_total", "Response frames offered to deflate (every one >= 512 B, but a set's update responses back off while deflate keeps losing on them, and its first one is not offered where its layout was offered on the connection and never won).", []query.Label{dl}, float64(ss.DeflateOffers))
 	e.Counter("ldmsd_server_deflate_wins_total", "Offers that shrank the frame, which then went out compressed.", []query.Label{dl}, float64(ss.DeflateWins))
 	e.Counter("ldmsd_server_host_cpu_seconds_total", "Wall time spent serving dir, lookup and update requests, deflate included (the paper's sampler-host overhead).", []query.Label{dl}, ss.HostCPU.Seconds())
 

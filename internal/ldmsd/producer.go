@@ -2,6 +2,7 @@ package ldmsd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -69,6 +70,7 @@ type Producer struct {
 	setNames []string
 	started  bool
 	active   bool // standby producers: true once activated
+	silent   bool // the last connect attempt's dir timed out
 	retry    *sched.Task
 	// closedStats accumulates transfer counters from connections that have
 	// been torn down, so totals survive reconnect cycles.
@@ -289,13 +291,21 @@ func (p *Producer) connectAttempt() {
 
 	conn, err := xprt.Dial(p.host)
 	if err != nil {
-		p.connectionFailed()
+		p.connectionFailed(err)
 		return
 	}
-	names, err := conn.Dir(context.Background())
+	// A peer that accepts and never answers (a stopped ldmsd, a wedged host)
+	// must not hold a connection worker: the first dir is bounded.
+	bound := max(p.reconnect, time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	names, err := conn.Dir(ctx)
+	cancel()
 	if err != nil {
 		conn.Close()
-		p.connectionFailed()
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("no dir response within %v: %w", bound, err)
+		}
+		p.connectionFailed(err)
 		return
 	}
 	p.mu.Lock()
@@ -306,6 +316,7 @@ func (p *Producer) connectAttempt() {
 	}
 	p.conn = conn
 	p.state = ProducerConnected
+	p.silent = false
 	p.epoch++
 	epoch := p.epoch
 	p.setNames = names
@@ -320,17 +331,25 @@ func (p *Producer) connectAttempt() {
 
 // connectionFailed records a failure and schedules a retry. Failed attempts
 // go to the debug log only: retry loops against a dead target would flood
-// the journal, whose ring is reserved for state transitions.
-func (p *Producer) connectionFailed() {
+// the journal, whose ring is reserved for state transitions. A peer turning
+// silent (its dir timed out) is one: journaled once per run of timeouts.
+func (p *Producer) connectionFailed(err error) {
 	p.connErrors.Add(1)
+	silent := errors.Is(err, context.DeadlineExceeded)
 	p.mu.Lock()
 	started := p.started
 	p.state = ProducerDisconnected
+	turnedSilent := silent && !p.silent
+	p.silent = silent
 	p.mu.Unlock()
+	if turnedSilent {
+		p.d.journal.Appendf(obs.SevWarn, obs.CompProducer, p.name, 0, "connect failed: %v", err)
+	}
 	p.d.log.Debug("producer connect failed",
 		slog.String("producer", p.name),
 		slog.String("host", p.host),
-		slog.Int64("attempts", p.connErrors.Load()))
+		slog.Int64("attempts", p.connErrors.Load()),
+		slog.Any("err", err))
 	if started {
 		p.scheduleConnect(p.reconnect)
 	}

@@ -463,3 +463,55 @@ func BenchmarkServeUpdateWide(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(srv.Stats().DeflateOffers-before.DeflateOffers)/float64(b.N), "offers/op")
 }
+
+// BenchmarkSockColdStart is an aggregator's cold pass over one producer:
+// 1,024 synth64-shaped sets (64 u64 metrics of splitmix values, a 552 B
+// data chunk deflate cannot shrink) over sock loopback, each op a fresh
+// connection's dial, Dir, LookupAll and first UpdateAll. us/set is that
+// pass's time per set; offers/set is the share of frames (lookup responses
+// and first chunks) the serving half handed to deflate.
+func BenchmarkSockColdStart(b *testing.B) {
+	const sets = 1024
+	reg := metric.NewRegistry()
+	names := addSynth(b, reg, "synth64", sets, 64, false)
+	srv := NewServer(reg)
+	ln, err := SockFactory{}.Listen("127.0.0.1:0", srv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	ctx := context.Background()
+	lookups := make([]LookupOp, sets)
+	ops := make([]UpdateOp, sets)
+	before := srv.Stats()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		conn, err := SockFactory{}.Dial(ln.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Dir(ctx); err != nil {
+			b.Fatal(err)
+		}
+		for i := range lookups {
+			lookups[i] = LookupOp{Name: names[i]}
+		}
+		LookupAll(ctx, conn, lookups)
+		for i, op := range lookups {
+			if op.Err != nil {
+				b.Fatal(op.Err)
+			}
+			ops[i] = UpdateOp{Set: op.Set, Dst: make([]byte, op.Set.Meta().DataSize)}
+		}
+		UpdateAll(ctx, conn, ops)
+		for _, op := range ops {
+			if op.Err != nil {
+				b.Fatal(op.Err)
+			}
+		}
+		conn.Close()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*sets), "us/set")
+	b.ReportMetric(float64(srv.Stats().DeflateOffers-before.DeflateOffers)/float64(b.N*sets), "offers/set")
+}

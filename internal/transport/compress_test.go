@@ -448,3 +448,100 @@ func TestSockCompressionBackedOffFree(t *testing.T) {
 		t.Errorf("last pull: n=%d err=%v", ops[0].N, ops[0].Err)
 	}
 }
+
+// addSynth adds n sets of one card-metric u64 layout to reg, named
+// prefix/NNNN and filled as fillWide would: splitmix values, or small
+// near-equal numbers deflate shrinks. It returns their names in order.
+func addSynth(tb testing.TB, reg *metric.Registry, prefix string, n, card int, compressible bool) []string {
+	tb.Helper()
+	sch := metric.NewSchema(prefix)
+	for j := 0; j < card; j++ {
+		sch.MustAddMetric(fmt.Sprintf("m%03d", j), metric.TypeU64)
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s/%04d", prefix, i)
+		set, err := metric.New(names[i], sch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		set.SetValues(func(b *metric.Batch) {
+			for j := 0; j < card; j++ {
+				v := uint64(j % 4)
+				if !compressible {
+					v = mix64(uint64(i)<<16 | uint64(j))
+				}
+				b.SetU64(j, v)
+			}
+		})
+		if err := reg.Add(set); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return names
+}
+
+// TestSockCompressionColdStart: on a cold connection deflate is offered one
+// first chunk per layout that never wins, not one per set. 64 incompressible
+// sets of one layout and 8 compressible sets of another are looked up and
+// pulled once: the first layout costs one lost offer, the second 8 offers
+// and 8 wins. Every chunk equals a NoCompress connection's, and on the
+// second pull each set that skipped its first offer is offered once more.
+func TestSockCompressionColdStart(t *testing.T) {
+	const nIncomp, nComp = 64, 8
+	reg := metric.NewRegistry()
+	incompNames := addSynth(t, reg, "synth64", nIncomp, 64, false)
+	compNames := addSynth(t, reg, "comp", nComp, wideCard, true)
+	names := append(incompNames, compNames...)
+	adaptive := newAdaptivePeer(t, reg, SockFactory{}, false, names)
+	plain := newAdaptivePeer(t, reg, SockFactory{NoCompress: true}, false, names)
+	incomp, comp := adaptive.ops[:nIncomp], adaptive.ops[nIncomp:]
+	ctx := context.Background()
+
+	// pullAll pulls ops once and returns the serving side's offers and wins.
+	pullAll := func(ops []UpdateOp) (offers, wins int64) {
+		t.Helper()
+		before := adaptive.srv.Stats()
+		UpdateAll(ctx, adaptive.conn, ops)
+		for _, op := range ops {
+			if op.Err != nil {
+				t.Fatal(op.Err)
+			}
+		}
+		after := adaptive.srv.Stats()
+		return after.DeflateOffers - before.DeflateOffers, after.DeflateWins - before.DeflateWins
+	}
+	if offers, wins := pullAll(incomp); offers != 1 || wins != 0 {
+		t.Errorf("first pull of %d incompressible sets of one layout: %d offers, %d wins; want 1, 0", nIncomp, offers, wins)
+	}
+	if offers, wins := pullAll(comp); offers != nComp || wins != nComp {
+		t.Errorf("first pull of %d compressible sets: %d offers, %d wins; want %d, %d", nComp, offers, wins, nComp, nComp)
+	}
+	// samePlain pulls every set over the NoCompress connection and compares.
+	samePlain := func(pull int) {
+		t.Helper()
+		UpdateAll(ctx, plain.conn, plain.ops)
+		for k, op := range adaptive.ops {
+			p := plain.ops[k]
+			if p.Err != nil {
+				t.Fatalf("pull %d, NoCompress op %d: %v", pull, k, p.Err)
+			}
+			if op.N == 0 || !bytes.Equal(op.Dst[:op.N], p.Dst[:p.N]) {
+				t.Fatalf("pull %d, op %d: chunk differs from the NoCompress connection's", pull, k)
+			}
+		}
+	}
+	samePlain(1)
+	// Second pull, one set at a time: the set whose offer lost waits one
+	// response out; each seeded set has done so and is offered again.
+	for k := range incomp {
+		offers, _ := pullAll(incomp[k : k+1])
+		if want := int64(min(k, 1)); offers != want {
+			t.Errorf("second pull of incompressible set %d: %d offers, want %d", k, offers, want)
+		}
+	}
+	if offers, wins := pullAll(comp); offers != nComp || wins != nComp {
+		t.Errorf("second pull of %d compressible sets: %d offers, %d wins; want %d, %d", nComp, offers, wins, nComp, nComp)
+	}
+	samePlain(2)
+}

@@ -237,6 +237,7 @@ type sockConn struct {
 	srv      *Server
 	handles  []servedSet
 	handleOf map[*metric.Set]uint32
+	layouts  map[*metric.Schema]*layoutDeflate
 	onHello  func(string, Conn)
 
 	// Transfer counters for prdcr_status and /metrics (both halves of the
@@ -321,25 +322,47 @@ func (sc *sockConn) traceEnabled() bool {
 // servedSet is one entry of the serving half's handle table: a looked-up set
 // and how deflate last fared on its update responses. A loss backs the set
 // off for 1, 2, 4 … deflateBackoffMax of its following responses of
-// compressMin bytes or more; a win returns it to "always offer".
+// compressMin bytes or more; a win returns it to "always offer". The set's
+// first such response consults its layout's record on the connection: where
+// deflate was offered that layout and never won, the set starts as one that
+// lost once, and that response goes out without an offer.
 type servedSet struct {
-	set  *metric.Set
-	skip uint16 // responses still to go out without an offer
-	back uint16 // what the last loss set skip to; 0 after a win
+	set    *metric.Set
+	layout *layoutDeflate // nil: the per-set rule alone
+	skip   uint16         // responses still to go out without an offer
+	back   uint16         // what the last loss set skip to; 0 after a win
+	begun  bool           // the first response has consulted layout
 }
+
+// layoutDeflate is how deflate has fared on one layout's update responses on
+// one connection, shared by every served set of that layout.
+type layoutDeflate struct{ offered, won bool }
 
 // offer reports whether the next frame should be offered to deflate. Frames
 // that keep no state (nil: dir, lookup, requests) always are.
 func (ss *servedSet) offer() bool {
-	if ss == nil || ss.skip == 0 {
+	if ss == nil {
+		return true
+	}
+	if l := ss.layout; l != nil && !ss.begun {
+		ss.begun = true
+		if l.offered && !l.won {
+			ss.back = 1
+			return false
+		}
+	}
+	if ss.skip == 0 {
 		return true
 	}
 	ss.skip--
 	return false
 }
 
-// offered records the outcome of an offer.
+// offered records the outcome of an offer, on the set and on its layout.
 func (ss *servedSet) offered(won bool) {
+	if ss != nil && ss.layout != nil {
+		ss.layout.offered, ss.layout.won = true, ss.layout.won || won
+	}
 	switch {
 	case ss == nil:
 	case won:
@@ -487,9 +510,15 @@ func (sc *sockConn) registerHandle(set *metric.Set) uint32 {
 	}
 	if sc.handleOf == nil {
 		sc.handleOf = make(map[*metric.Set]uint32)
+		sc.layouts = make(map[*metric.Schema]*layoutDeflate)
+	}
+	l := sc.layouts[set.Schema()]
+	if l == nil {
+		l = new(layoutDeflate)
+		sc.layouts[set.Schema()] = l
 	}
 	h := uint32(len(sc.handles))
-	sc.handles = append(sc.handles, servedSet{set: set})
+	sc.handles = append(sc.handles, servedSet{set: set, layout: l})
 	sc.handleOf[set] = h
 	return h
 }
